@@ -45,7 +45,6 @@ from .kernel import (
     is_reversible,
     is_stationary,
     reversal,
-    step_power,
 )
 from .pvalue import (
     AtomLaw,

@@ -37,24 +37,19 @@ class Ar1Kernel:
         return self.rho * x + math.sqrt(1.0 - self.rho**2) * rng.standard_normal()
 
     def pair(self, step_size: int = 1) -> KernelPair:
-        return KernelPair.from_callables(
-            self.step, self.step, step_size=step_size, reversible=True
-        )
+        return KernelPair(self.step, self.step, step_size=step_size, reversible=True)
 
     def spokes(
-        self, x_star: float, n: int, step_size: int, rng: np.random.Generator
+        self, x_star, n: int | tuple, step_size: int, rng: np.random.Generator
     ) -> np.ndarray:
         """Vectorized batch of independent L-step draws from ``x_star``.
 
-        Composing L steps gives an autoregressive draw with correlation
+        ``n`` is the batch size or shape, and ``x_star`` (a float or an
+        array) broadcasts against it.  Composing L steps gives an autoregressive draw with correlation
         ``rho**L``, so a super-step is a single normal draw.
         """
         rho_l = self.rho**step_size
         return rho_l * x_star + math.sqrt(1.0 - rho_l**2) * rng.standard_normal(n)
-
-
-def ar1_step(kernel: Ar1Kernel, x: float, rng: np.random.Generator) -> float:
-    return kernel.step(x, rng)
 
 
 # -- Bimodal Metropolis-Hastings chain on {1..100} -------------------------
@@ -278,7 +273,7 @@ def cpt_pair(q_log: np.ndarray, step_size: int = 1) -> KernelPair:
     def step(state, rng):
         return cpt_swap_step(state, q_log, rng)
 
-    return KernelPair.from_callables(step, step, step_size=step_size, reversible=True)
+    return KernelPair(step, step, step_size=step_size, reversible=True)
 
 
 def cpt_target(q_log: np.ndarray) -> DiscreteDistribution:

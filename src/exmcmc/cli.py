@@ -1,7 +1,8 @@
 """Command-line entry point for the experiment harness.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 when ``--check`` is
-passed and an acceptance threshold is violated.
+Exit codes: 0 on success, 2 on configuration errors and other package errors
+(such as a statistic that evaluates to NaN on the given data), 3 when
+``--check`` is passed and an acceptance threshold is violated.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError
+from .errors import ExmcmcError
 from .experiments import RUNNERS, ExperimentConfig
 
 
@@ -105,7 +106,7 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         result = RUNNERS[args.command](config)
-    except (ConfigError, ValueError) as exc:
+    except (ExmcmcError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if config.out:

@@ -16,18 +16,26 @@ from fractions import Fraction
 import numpy as np
 
 from .chains import (
+    Ar1Kernel,
     BinaryMatrix,
     association_statistic,
     bimodal_target,
     checkerboard_swap_step,
-    cooccurrence_statistic,
     cpt_pair,
     make_permutation_state,
     mh_pm1_kernel,
 )
 from .errors import ConfigError, NotReversibleError
 from .kernel import KernelPair
-from .pvalue import p_analytic, p_infinity_discrete, p_mc, power_parallel_limit, sqrt_epsilon
+from .pvalue import (
+    normal_cdf,
+    normal_quantile,
+    p_analytic,
+    p_infinity_discrete,
+    p_mc,
+    power_parallel_limit,
+    sqrt_epsilon,
+)
 from .rng import substream
 from .samplers import sample_parallel, sample_permuted_serial, sample_sequential
 
@@ -194,25 +202,24 @@ def run_power_curve(config: ExperimentConfig) -> ExperimentResult:
     """Theoretical vs empirical power of the parallel method on the
     autoregressive chain, against a shifted-mean normal alternative.
 
-    The empirical column batches the hub draw and the spokes through the
-    L-step closed form of the autoregressive chain (composing L steps gives
-    one draw with correlation rho**L), which is the parallel method's law.
+    The empirical column batches the hub draw and the spokes through
+    :meth:`Ar1Kernel.spokes`, the L-step closed form of the chain, which is
+    the parallel method's law.
     """
     reps = config.reps or 2000
     m = config.n_draws or 2000
     alpha = config.alphas[0]
     rows = []
     violations = []
-    optimal = 1.0 - _phi(_phi_inv(1.0 - alpha) - config.mu)
+    optimal = 1.0 - normal_cdf(normal_quantile(1.0 - alpha) - config.mu)
     for i_rho, rho in enumerate(config.rho):
+        kernel = Ar1Kernel(rho)
         for step in range(1, config.step_max + 1):
             theoretical = power_parallel_limit(config.mu, alpha, rho, step)
             rng = substream(config.seed, i_rho, step)
-            rho_l = rho**step
-            sd = math.sqrt(1.0 - rho_l * rho_l)
             x0 = config.mu + rng.standard_normal(reps)
-            hub = rho_l * x0 + sd * rng.standard_normal(reps)
-            spokes = rho_l * hub[:, None] + sd * rng.standard_normal((reps, m))
+            hub = kernel.spokes(x0, reps, step, rng)
+            spokes = kernel.spokes(hub[:, None], (reps, m), step, rng)
             counts = (spokes >= x0[:, None]).sum(axis=1)
             reject = (counts + 1) <= alpha * (m + 1)
             empirical = float(reject.mean())
@@ -232,16 +239,6 @@ def run_power_curve(config: ExperimentConfig) -> ExperimentResult:
         config,
         violations,
     )
-
-
-def _phi(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def _phi_inv(p: float) -> float:
-    from .pvalue import normal_quantile
-
-    return normal_quantile(p)
 
 
 # -- Consistency of the permuted serial method -----------------------------
@@ -307,7 +304,7 @@ def run_consistency(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _swap_chain_pair(step: int) -> KernelPair:
-    return KernelPair.from_callables(
+    return KernelPair(
         checkerboard_swap_step, checkerboard_swap_step, step_size=step, reversible=True
     )
 

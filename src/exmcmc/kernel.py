@@ -25,6 +25,20 @@ EXACT_TOL = 1e-12
 POWER_TOL = 1e-10
 
 
+def _pinned_cumsum(mass: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, with each row's final run set to 1.
+
+    Rounding can leave a row's total just below 1 (the bimodal kernel's
+    100-step rows end as low as 1 - 1.4e-15), and ``rng.random()`` can return
+    up to ``1 - 2**-53``; an inverse-CDF lookup would then run off the end of
+    the row.  Pinning every entry equal to the row's total, rather than only
+    the last one, keeps trailing zero-mass states unreachable.
+    """
+    cum = np.cumsum(mass, axis=-1)
+    cum[cum == cum[..., -1:]] = 1.0
+    return cum
+
+
 class DiscreteDistribution:
     """A finite target law: ordered states with point masses."""
 
@@ -42,7 +56,7 @@ class DiscreteDistribution:
         self.states = states
         self.mass = mass
         self._index = {s: i for i, s in enumerate(states)}
-        self._cum = np.cumsum(mass)
+        self._cum = _pinned_cumsum(mass)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -104,7 +118,7 @@ class DiscreteKernel:
 
     def _cumulative(self, steps: int) -> np.ndarray:
         if steps not in self._cums:
-            self._cums[steps] = np.cumsum(self.power(steps), axis=1)
+            self._cums[steps] = _pinned_cumsum(self.power(steps))
         return self._cums[steps]
 
     def step_index(self, i: int, rng: np.random.Generator, steps: int = 1) -> int:
@@ -209,16 +223,6 @@ class KernelPair:
             target=target,
         )
 
-    @classmethod
-    def from_callables(
-        cls,
-        forward: Callable,
-        reverse: Callable,
-        step_size: int = 1,
-        reversible: bool = False,
-    ) -> "KernelPair":
-        return cls(forward, reverse, step_size=step_size, reversible=reversible)
-
     @property
     def is_discrete(self) -> bool:
         return self.forward_kernel is not None
@@ -229,12 +233,6 @@ class KernelPair:
                 "operation requires a matrix-backed kernel"
             )
         return self.forward_kernel
-
-    def forward_step(self, state, rng: np.random.Generator):
-        return self.forward(state, rng)
-
-    def reverse_step(self, state, rng: np.random.Generator):
-        return self.reverse(state, rng)
 
     def super_forward(self, state, rng: np.random.Generator):
         if self.forward_kernel is not None:
@@ -250,11 +248,3 @@ class KernelPair:
             state = self.reverse(state, rng)
         return state
 
-
-def step_power(pair: KernelPair, start, direction: str, rng: np.random.Generator):
-    """One draw from the L-step kernel in the chosen direction."""
-    if direction == "forward":
-        return pair.super_forward(start, rng)
-    if direction == "reverse":
-        return pair.super_reverse(start, rng)
-    raise ValueError(f"direction must be 'forward' or 'reverse', got {direction!r}")

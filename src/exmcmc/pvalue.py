@@ -18,8 +18,11 @@ from .kernel import DiscreteDistribution, KernelPair
 
 
 def _check_finite(values) -> None:
+    # NaN is the one value unequal to itself, whatever its type (Python float,
+    # numpy float32/float64, ...); this is also much cheaper than isinstance
+    # checks against numbers.Real.
     for v in values:
-        if isinstance(v, float) and math.isnan(v):
+        if v != v:
             raise InvalidStatisticError("test statistic evaluated to NaN")
 
 

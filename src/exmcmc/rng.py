@@ -2,8 +2,8 @@
 
 Every sampling operation in the package receives an explicit
 ``numpy.random.Generator``.  Substreams are derived from a master seed and an
-integer path, so that parallel workers (spokes, replications) get independent
-streams whose output does not depend on scheduling.
+integer path, so that replications get independent streams whose output does
+not depend on scheduling.
 """
 
 from __future__ import annotations

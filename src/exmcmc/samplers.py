@@ -1,16 +1,17 @@
 """Samplers that produce the comparison draws for a Monte Carlo test.
 
 Includes the i.i.d. baseline, sequential MCMC (not exchangeable, kept for the
-invalidity demonstration), the parallel (hub-and-spoke) method, the permuted
-serial method, and the general marked-tree method with constructors for path,
-star, and split-star trees.
+invalidity demonstration), and the marked-tree method with constructors for
+path, star, and split-star trees.  Each tree edge is one super-step of the
+kernel pair, and the tree is walked depth-first from the observed point's
+mark.  The parallel (hub-and-spoke) method is the tree method on a star, and
+the permuted serial method is the tree method on a path.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,7 +25,7 @@ class MarkedTree:
     """A directed tree plus an injective mark map ``{0..M} -> vertices``.
 
     ``edges[j] = (u, v)`` is a directed edge u -> v; traversing it with the
-    flow takes a forward kernel step, against the flow a reverse step.
+    flow takes a forward super-step, against the flow a reverse super-step.
     ``marks[i]`` is the vertex carrying label ``i``.
     """
 
@@ -83,6 +84,11 @@ class MarkedTree:
             adj[v].append((u, False))
         return adj
 
+    @cached_property
+    def _neighbors(self) -> tuple:
+        """:meth:`adjacency` as tuples, built once per tree for the walk."""
+        return tuple(map(tuple, self.adjacency()))
+
 
 @dataclass
 class SampleSet:
@@ -95,9 +101,6 @@ class SampleSet:
     exchangeable: bool = True
     sigma: Optional[tuple] = None
     m_star: Optional[int] = None
-    hub: object = None
-    y_sequence: Optional[list] = None
-    seed: Optional[int] = None
 
     @property
     def n_draws(self) -> int:
@@ -138,66 +141,29 @@ def sample_sequential(
 
 
 def sample_parallel(
-    pair: KernelPair,
-    x0,
-    n_draws: int,
-    rng: np.random.Generator,
-    workers: int | None = None,
-    split_streams: bool = False,
+    pair: KernelPair, x0, n_draws: int, rng: np.random.Generator
 ) -> SampleSet:
-    """Hub-and-spoke: L reverse steps to a hub, then independent forward spokes.
+    """Hub-and-spoke: the tree method on a star of M+1 one-edge arms.
 
-    With ``workers`` set, spokes run on a thread pool, each on its own
-    substream split from ``rng``; the result is identical to sequential
-    execution of the same substreams (``split_streams=True``).
+    ``x0`` sits at the end of a uniformly chosen arm; one reverse super-step
+    reaches the unmarked hub, and one forward super-step out along each
+    other arm gives a draw.
     """
-    hub = pair.super_reverse(x0, rng)
-    if workers or split_streams:
-        streams = rng.spawn(n_draws)
-        if workers:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                draws = list(pool.map(lambda s: pair.super_forward(hub, s), streams))
-        else:
-            draws = [pair.super_forward(hub, s) for s in streams]
-    else:
-        draws = [pair.super_forward(hub, rng) for _ in range(n_draws)]
-    return SampleSet(
-        observed=x0,
-        draws=draws,
-        method="parallel",
-        step_size=pair.step_size,
-        hub=hub,
-    )
+    tree = _star_tree(n_draws, 1)
+    return replace(sample_tree(pair, x0, tree, rng), method="parallel")
 
 
 def sample_permuted_serial(
     pair: KernelPair, x0, n_draws: int, rng: np.random.Generator
 ) -> SampleSet:
-    """One bidirectional chain through ``x0``, then a uniform relabeling.
+    """One bidirectional chain through ``x0``: the tree method on a path.
 
     A permutation sigma of {0..M} is drawn, x0 sits at position
     ``m* = sigma(0)`` of the chain, and draw i is the chain state at position
     sigma(i).
     """
-    m = n_draws
-    sigma = tuple(int(s) for s in rng.permutation(m + 1))
-    m_star = sigma[0]
-    y = [None] * (m + 1)
-    y[m_star] = x0
-    for j in range(m_star - 1, -1, -1):
-        y[j] = pair.super_reverse(y[j + 1], rng)
-    for j in range(m_star + 1, m + 1):
-        y[j] = pair.super_forward(y[j - 1], rng)
-    draws = [y[sigma[i]] for i in range(1, m + 1)]
-    return SampleSet(
-        observed=x0,
-        draws=draws,
-        method="permuted_serial",
-        step_size=pair.step_size,
-        sigma=sigma,
-        m_star=m_star,
-        y_sequence=y,
-    )
+    tree = _path_tree(n_draws, 1)
+    return replace(sample_tree(pair, x0, tree, rng), method="permuted_serial")
 
 
 def sample_tree(
@@ -205,29 +171,31 @@ def sample_tree(
 ) -> SampleSet:
     """The general tree method over a marked tree.
 
-    Breadth-first exploration from the randomly selected marked vertex; any
-    exploration order yields the same law, BFS is fixed for determinism.
-    Each edge is a single base kernel step (step lengths are encoded by
-    unmarked vertices in the tree).
+    A uniform permutation sigma of the marks places ``x0`` on mark
+    ``m* = sigma(0)``.  Each edge is one super-step of ``pair``, forward with
+    the edge's flow and reverse against it.  The walk is depth-first from
+    x0's vertex, children in edge order: any order gives the same law, and
+    this one consumes the stream on a path tree exactly as a chain run
+    backwards from m* and then forwards would.
     """
-    m = tree.n_draws
-    sigma = tuple(int(s) for s in rng.permutation(m + 1))
+    sigma = tuple(rng.permutation(tree.n_draws + 1).tolist())
     m_star = sigma[0]
-    root = tree.marks[m_star]
-    adj = tree.adjacency()
-    y = {root: x0}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v, with_flow in adj[u]:
-            if v in y:
-                continue
-            if with_flow:
-                y[v] = pair.forward_step(y[u], rng)
-            else:
-                y[v] = pair.reverse_step(y[u], rng)
-            queue.append(v)
-    draws = [y[tree.marks[sigma[i]]] for i in range(1, m + 1)]
+    marks = tree.marks
+    root = marks[m_star]
+    neighbors = tree._neighbors
+    forward, reverse = pair.super_forward, pair.super_reverse
+    y = [None] * tree.vertex_count
+    y[root] = x0
+    # Stack entries are (vertex, parent, with_flow); children are pushed in
+    # reverse so that they pop in edge order.
+    stack = [(v, root, f) for v, f in reversed(neighbors[root])]
+    while stack:
+        v, u, with_flow = stack.pop()
+        y[v] = forward(y[u], rng) if with_flow else reverse(y[u], rng)
+        for w, f in reversed(neighbors[v]):
+            if w != u:
+                stack.append((w, v, f))
+    draws = [y[marks[s]] for s in sigma[1:]]
     return SampleSet(
         observed=x0,
         draws=draws,
@@ -246,6 +214,11 @@ def build_path_tree(n_draws: int, step: int) -> MarkedTree:
     """
     if n_draws < 1 or step < 1:
         raise ValueError("n_draws and step must be >= 1")
+    return _path_tree(n_draws, step)
+
+
+@lru_cache(maxsize=64)
+def _path_tree(n_draws: int, step: int) -> MarkedTree:
     total = n_draws * step + 1
     edges = tuple((i, i + 1) for i in range(total - 1))
     marks = tuple(i * step for i in range(n_draws + 1))
@@ -260,6 +233,11 @@ def build_star_tree(n_draws: int, step: int) -> MarkedTree:
     """
     if n_draws < 1 or step < 1:
         raise ValueError("n_draws and step must be >= 1")
+    return _star_tree(n_draws, step)
+
+
+@lru_cache(maxsize=64)
+def _star_tree(n_draws: int, step: int) -> MarkedTree:
     edges = []
     marks = []
     next_vertex = 1

@@ -110,6 +110,15 @@ class TestExitCodes:
         assert main(["pinfty", "--alpha", "1.5"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_package_error_exits_2(self, capsys):
+        # one observation per data set: the residual correlation is NaN
+        assert main(["cpt-demo", "--n", "1", "--reps", "2"]) == 2
+        assert "error: test statistic evaluated to NaN" in capsys.readouterr().err
+
+    def test_rho_outside_unit_interval(self, capsys):
+        assert main(["power-curve", "--rho", "1.5"]) == 2
+        assert "rho must lie in (-1, 1)" in capsys.readouterr().err
+
     def test_check_violation(self, tmp_path, capsys):
         # deliberately underpowered replication count: empirical power cannot
         # track the theoretical curve within 0.02

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exmcmc import fixtures
+from exmcmc.chains import bimodal_target, mh_pm1_kernel
 from exmcmc.errors import (
     DimensionMismatchError,
     ReversalUndefinedError,
@@ -19,7 +20,6 @@ from exmcmc.kernel import (
     is_reversible,
     is_stationary,
     reversal,
-    step_power,
 )
 
 EXACT = 1e-12
@@ -226,25 +226,47 @@ class TestKernelPair:
             calls.append(state)
             return state + 1
 
-        pair = KernelPair.from_callables(fwd, fwd, step_size=4)
+        pair = KernelPair(fwd, fwd, step_size=4)
         assert pair.super_forward(0, rng) == 4
         assert calls == [0, 1, 2, 3]
         assert not pair.is_discrete
 
     def test_require_discrete_rejects_callables(self, rng):
-        pair = KernelPair.from_callables(lambda s, r: s, lambda s, r: s)
+        pair = KernelPair(lambda s, r: s, lambda s, r: s)
         with pytest.raises(UnsupportedRepresentationError):
             pair.require_discrete()
 
-    def test_step_power_directions(self, rng):
-        pair = KernelPair.from_callables(
-            lambda s, r: s + 1, lambda s, r: s - 1, step_size=2
-        )
-        assert step_power(pair, 0, "forward", rng) == 2
-        assert step_power(pair, 0, "reverse", rng) == -2
-        with pytest.raises(ValueError):
-            step_power(pair, 0, "sideways", rng)
-
     def test_step_size_must_be_positive(self):
         with pytest.raises(ValueError):
-            KernelPair.from_callables(lambda s, r: s, lambda s, r: s, step_size=0)
+            KernelPair(lambda s, r: s, lambda s, r: s, step_size=0)
+
+
+class TopOfUnitInterval:
+    """Generator stub whose every uniform is the largest double below 1."""
+
+    def random(self):
+        return float(np.nextafter(1.0, 0.0))
+
+
+class TestInverseCdfAtTopOfUnitInterval:
+    """``rng.random()`` can return ``1 - 2**-53``, above the rounded totals of
+    the bimodal law and of many of its kernel rows; every lookup must still
+    land on a state the law can reach."""
+
+    def test_target_sample(self):
+        target = bimodal_target()
+        assert target.prob(target.sample(TopOfUnitInterval())) > 0
+
+    @pytest.mark.parametrize("step", [1, 100])
+    def test_super_steps(self, step):
+        target = bimodal_target()
+        pair = KernelPair.from_discrete(mh_pm1_kernel(target), target, step)
+        rng = TopOfUnitInterval()
+        for kernel, move in (
+            (pair.forward_kernel, pair.super_forward),
+            (pair.reverse_kernel, pair.super_reverse),
+        ):
+            law = kernel.power(step)
+            for x in target.states:
+                y = move(x, rng)
+                assert law[kernel.index(x), kernel.index(y)] > 0, (x, y)

@@ -193,6 +193,20 @@ class TestSamplersMatchTheirLaws:
 
         self._check(self._empirical(draw, self.N), law, self.N)
 
+    def test_tree_edges_are_super_steps(self):
+        """A step-2 pair on one-edge arms has the law of two-edge arms."""
+        kernel, target = fixtures.biased_cycle()
+        pair = KernelPair.from_discrete(kernel, target, 2)
+        tree = build_split_star(2, 1, 1)
+        law = exact_joint(build_split_star(2, 1, 2), kernel, target)
+
+        def draw(rng):
+            x0 = target.sample(rng)
+            out = sample_tree(pair, x0, tree, rng)
+            return (x0, *out.draws)
+
+        self._check(self._empirical(draw, self.N), law, self.N)
+
 
 class TestExactRejection:
     def test_alpha_at_least_one(self, skewed_walk):

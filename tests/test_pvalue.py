@@ -51,6 +51,8 @@ class TestPMc:
             p_mc(float("nan"), [1.0])
         with pytest.raises(InvalidStatisticError):
             p_mc(1.0, [float("nan")])
+        with pytest.raises(InvalidStatisticError):
+            p_mc(np.float32("nan"), [np.float32(1.0)] * 4)
 
     @settings(max_examples=100, deadline=None)
     @given(t0=finite_floats, draws=st.lists(finite_floats, max_size=20))
@@ -170,7 +172,7 @@ class TestPInfinityDiscrete:
         assert max(abs(v - p_a) for v in law.values) <= 1e-6
 
     def test_continuous_pair_rejected(self):
-        pair = KernelPair.from_callables(lambda s, r: s, lambda s, r: s)
+        pair = KernelPair(lambda s, r: s, lambda s, r: s)
         with pytest.raises(UnsupportedRepresentationError):
             p_infinity_discrete(pair, lambda s: s, 0.0)
 

@@ -109,35 +109,41 @@ class TestSampleSets:
         assert not out.exchangeable
         assert out.n_draws == 4
 
-    def test_parallel_records_hub(self, skewed_pair, rng):
+    def test_parallel_records_permutation(self, skewed_pair, rng):
         out = sample_parallel(skewed_pair, "a", 4, rng)
-        assert out.hub in ("a", "b", "c")
+        assert out.method == "parallel"
         assert out.exchangeable
+        assert sorted(out.sigma) == list(range(5))
+        assert out.m_star == out.sigma[0]
 
     def test_permuted_serial_records_permutation(self, skewed_pair, rng):
         out = sample_permuted_serial(skewed_pair, "a", 4, rng)
+        assert out.method == "permuted_serial"
+        assert out.exchangeable
         assert sorted(out.sigma) == list(range(5))
         assert out.m_star == out.sigma[0]
-        assert out.y_sequence[out.m_star] == "a"
-        # draws are the chain states read off through the permutation
-        for i in range(1, 5):
-            assert out.draws[i - 1] == out.y_sequence[out.sigma[i]]
 
     def test_zero_draws(self, skewed_pair, rng):
         assert sample_parallel(skewed_pair, "a", 0, rng).draws == []
+        assert sample_permuted_serial(skewed_pair, "a", 0, rng).draws == []
+
+    @pytest.mark.parametrize(
+        "sampler, build",
+        [(sample_parallel, build_star_tree), (sample_permuted_serial, build_path_tree)],
+    )
+    def test_parallel_and_serial_are_star_and_path_trees(self, sampler, build):
+        """Same stream, same draws: each is the tree method on its tree."""
+        pair = KernelPair(lambda s, r: s + r.random(), lambda s, r: s - r.random(), 3)
+        for seed in range(20):
+            a = sampler(pair, 0.0, 6, substream(5, seed))
+            b = sample_tree(pair, 0.0, build(6, 1), substream(5, seed))
+            assert a.draws == b.draws and a.sigma == b.sigma
 
     def test_tree_sampler_runs_every_tree(self, skewed_pair, rng):
         for tree in (build_path_tree(3, 1), build_star_tree(3, 1), build_split_star(2, 1, 1)):
             out = sample_tree(skewed_pair, "a", tree, rng)
             assert out.n_draws == tree.n_draws
             assert all(d in ("a", "b", "c") for d in out.draws)
-
-    def test_parallel_split_streams_deterministic(self, skewed_pair):
-        """Spoke-parallel and spoke-sequential runs agree bit-for-bit."""
-        seq = sample_parallel(skewed_pair, "a", 8, substream(7, 0), split_streams=True)
-        par = sample_parallel(skewed_pair, "a", 8, substream(7, 0), workers=4)
-        assert seq.draws == par.draws
-        assert seq.hub == par.hub
 
     def test_same_stream_reproduces(self, skewed_pair):
         a = sample_permuted_serial(skewed_pair, "a", 6, substream(3, 1))
