@@ -15,6 +15,7 @@ from .chains import (
     checkerboard_swap_step,
     cooccurrence_statistic,
     cpt_pair,
+    cpt_swap_spokes,
     cpt_swap_step,
     cpt_target,
     cpt_transition_matrix,

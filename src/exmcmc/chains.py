@@ -37,7 +37,12 @@ class Ar1Kernel:
         return self.rho * x + math.sqrt(1.0 - self.rho**2) * rng.standard_normal()
 
     def pair(self, step_size: int = 1) -> KernelPair:
-        return KernelPair(self.step, self.step, step_size=step_size, reversible=True)
+        def spokes(x_star, n, steps, rng):
+            return self.spokes(x_star, n, steps, rng).tolist()
+
+        return KernelPair(
+            self.step, self.step, step_size=step_size, reversible=True, spokes=spokes
+        )
 
     def spokes(
         self, x_star, n: int | tuple, step_size: int, rng: np.random.Generator
@@ -248,7 +253,9 @@ def cpt_swap_step(
 
     Proposes swapping two uniformly chosen slots; the acceptance ratio only
     involves the four affected table entries, and the cached log weight is
-    updated incrementally.
+    updated incrementally.  The uniform is drawn only for a downhill move and
+    compared with ``exp(delta)``, so a uniform of exactly 0 is accepted
+    unless ``exp(delta)`` underflows to 0.
     """
     n = len(s.perm)
     j = int(rng.integers(n))
@@ -257,15 +264,59 @@ def cpt_swap_step(
         return s
     pj, pk = s.perm[j], s.perm[k]
     delta = q_log[pk, j] + q_log[pj, k] - q_log[pj, j] - q_log[pk, k]
-    if delta >= 0 or math.log(rng.random()) < delta:
+    if delta >= 0 or rng.random() < math.exp(delta):
         perm = list(s.perm)
         perm[j], perm[k] = pk, pj
         return PermutationState(tuple(perm), s.log_weight + float(delta))
     return s
 
 
+def cpt_swap_spokes(
+    s: PermutationState, q_log: np.ndarray, n: int, steps: int, rng: np.random.Generator
+) -> list:
+    """``n`` independent ``steps``-step runs of :func:`cpt_swap_step` from ``s``.
+
+    The runs advance in lockstep as an ``(n, len(s.perm))`` permutation array
+    and a log-weight vector.  All slot pairs and uniforms of the fan are drawn
+    up front, in one ``integers`` and one ``random`` call, so the stream
+    differs from ``n`` scalar runs while the law is the same.  A slot pair
+    with ``j == k`` has ``delta == 0`` and swaps a slot with itself.
+    """
+    size = len(s.perm)
+    perms = np.empty((n, size), dtype=np.intp)
+    perms[:] = s.perm
+    log_weight = np.full(n, s.log_weight)
+    # Flat views: run r's slot j is perms_flat[r * size + j], and table entry
+    # q_log[i, j] is q_flat[i * size + j].
+    perms_flat = perms.reshape(-1)
+    q_flat = np.asarray(q_log, dtype=float).reshape(-1)
+    run_base = np.arange(n) * size
+    slot_pairs = rng.integers(size, size=(steps, 2, n))
+    uniforms = rng.random((steps, n))
+    for (j, k), u in zip(slot_pairs, uniforms):
+        slot_j, slot_k = run_base + j, run_base + k
+        pj, pk = perms_flat[slot_j], perms_flat[slot_k]
+        row_j, row_k = pj * size, pk * size
+        delta = (
+            q_flat[row_k + j] + q_flat[row_j + k] - q_flat[row_j + j] - q_flat[row_k + k]
+        )
+        # exp of a non-positive delta cannot overflow, and u == 0 needs no log.
+        moved = (delta >= 0) | (u < np.exp(np.minimum(delta, 0.0)))
+        perms_flat[slot_j] = np.where(moved, pk, pj)
+        perms_flat[slot_k] = np.where(moved, pj, pk)
+        log_weight += np.where(moved, delta, 0.0)
+    return [
+        PermutationState(tuple(perm), weight)
+        for perm, weight in zip(perms.tolist(), log_weight.tolist())
+    ]
+
+
 def cpt_pair(q_log: np.ndarray, step_size: int = 1) -> KernelPair:
-    """Kernel pair for the (reversible) permutation swap chain."""
+    """Kernel pair for the (reversible) permutation swap chain.
+
+    Single steps are :func:`cpt_swap_step`; a fan of spokes runs
+    :func:`cpt_swap_spokes` in lockstep.
+    """
     q_log = np.asarray(q_log, dtype=float)
     if not np.isfinite(q_log).all():
         raise ValueError("q_log must be finite everywhere")
@@ -273,7 +324,10 @@ def cpt_pair(q_log: np.ndarray, step_size: int = 1) -> KernelPair:
     def step(state, rng):
         return cpt_swap_step(state, q_log, rng)
 
-    return KernelPair(step, step, step_size=step_size, reversible=True)
+    def spokes(state, n, steps, rng):
+        return cpt_swap_spokes(state, q_log, n, steps, rng)
+
+    return KernelPair(step, step, step_size=step_size, reversible=True, spokes=spokes)
 
 
 def cpt_target(q_log: np.ndarray) -> DiscreteDistribution:

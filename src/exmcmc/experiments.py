@@ -61,7 +61,7 @@ class ExperimentConfig:
     rho: tuple = (0.7, 0.9, 0.99)
     mu: float = 2.0
     step_max: int = 10
-    x0: float = 90
+    x0: float | None = None
     m_values: tuple = (100, 5000)
     rows: int = 20
     cols: int = 12
@@ -75,8 +75,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.reps is not None and self.reps < 1:
             raise ConfigError("reps must be >= 1")
-        if self.n_draws is not None and self.n_draws < 0:
-            raise ConfigError("n_draws must be >= 0")
+        if self.n_draws is not None and self.n_draws < 1:
+            raise ConfigError("M (n_draws) must be >= 1")
         if self.step is not None and self.step < 1:
             raise ConfigError("step must be >= 1")
         for a in self.alphas:
@@ -104,6 +104,16 @@ class ExperimentResult:
             writer.writerow(self.columns)
             for row in self.rows:
                 writer.writerow(row)
+
+
+def _state_x0(config: ExperimentConfig, states: tuple, default):
+    """``config.x0`` (or ``default``) as a state of the chain, or ConfigError."""
+    x0 = default if config.x0 is None else config.x0
+    if x0 not in states:
+        raise ConfigError(
+            f"x0 must be a state of the chain ({states[0]}..{states[-1]}), got {x0!r}"
+        )
+    return int(x0)
 
 
 def _binomial_se(rate: float, count: int) -> float:
@@ -254,7 +264,7 @@ def run_consistency(config: ExperimentConfig) -> ExperimentResult:
     target = bimodal_target()
     kernel = mh_pm1_kernel(target)
     pair = KernelPair.from_discrete(kernel, target, config.step or 100)
-    x0 = int(config.x0)
+    x0 = _state_x0(config, target.states, 90)
     p_a = p_analytic(target, lambda s: s, x0)
 
     rows = []
@@ -496,12 +506,12 @@ def run_pinfty(config: ExperimentConfig) -> ExperimentResult:
 
     if config.chain == "two-state":
         kernel, target = fixtures.two_state()
-        x0 = int(config.x0) if config.x0 in (0, 1) else 1
+        x0 = _state_x0(config, kernel.states, 1)
         statistic = fixtures.state_index_statistic(kernel)
     elif config.chain == "bimodal":
         target = bimodal_target()
         kernel = mh_pm1_kernel(target)
-        x0 = int(config.x0)
+        x0 = _state_x0(config, target.states, 90)
         statistic = lambda s: s
     else:
         raise ConfigError(f"unknown chain {config.chain!r}")

@@ -4,6 +4,10 @@ Finite chains are represented as row-stochastic matrices over an ordered list
 of abstract state identifiers.  Continuous chains (e.g. the autoregressive
 chain in :mod:`exmcmc.chains`) implement the same step-sampler interface via
 :class:`KernelPair` but do not support matrix operations.
+
+A pair has one optional batch path, :meth:`KernelPair.fan`, which the tree
+sampler uses for a vertex's same-flow leaf children (the spokes of the
+parallel method).
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    NotReversibleError,
     ReversalUndefinedError,
     StationarityViolationError,
     UnsupportedRepresentationError,
@@ -129,6 +134,18 @@ class DiscreteKernel:
     def step(self, state, rng: np.random.Generator, steps: int = 1):
         return self.states[self.step_index(self._index[state], rng, steps)]
 
+    def spokes(self, state, n: int, steps: int, rng: np.random.Generator) -> list:
+        """``n`` independent ``steps``-step draws from ``state``, as a list.
+
+        One ``rng.random(n)`` and one ``searchsorted`` on the cached
+        cumulative row: the stream moves exactly as ``n`` calls of
+        :meth:`step` would, and gives the same states.
+        """
+        row = self._cumulative(steps)[self._index[state]]
+        states = self.states
+        picks = np.searchsorted(row, rng.random(n), side="right")
+        return [states[i] for i in picks.tolist()]
+
 
 class StationarityReport(NamedTuple):
     stationary: bool
@@ -183,6 +200,11 @@ class KernelPair:
     ``(state, rng) -> state``.  ``super_forward``/``super_reverse`` apply the
     L-step law; for matrix-backed pairs these draw directly from the L-step
     matrix power, which has the same law as L sequential base steps.
+
+    ``spokes(state, n, steps, rng)``, if given, returns a list of ``n``
+    independent ``steps``-step draws from ``state``, each an ordinary state
+    as ``forward`` would return it.  It is accepted only on reversible pairs,
+    because :meth:`fan` uses it with the flow and against it alike.
     """
 
     def __init__(
@@ -194,9 +216,14 @@ class KernelPair:
         forward_kernel: DiscreteKernel | None = None,
         reverse_kernel: DiscreteKernel | None = None,
         target: DiscreteDistribution | None = None,
+        spokes: Callable | None = None,
     ):
         if step_size < 1:
             raise ValueError("step_size must be >= 1")
+        if spokes is not None and not reversible:
+            raise NotReversibleError(
+                "spokes serves both directions, so the pair must be reversible"
+            )
         self.forward = forward
         self.reverse = reverse
         self.step_size = step_size
@@ -204,6 +231,7 @@ class KernelPair:
         self.forward_kernel = forward_kernel
         self.reverse_kernel = reverse_kernel
         self.target = target
+        self.spokes = spokes
 
     @classmethod
     def from_discrete(
@@ -248,3 +276,19 @@ class KernelPair:
             state = self.reverse(state, rng)
         return state
 
+    def fan(self, state, n: int, with_flow: bool, rng: np.random.Generator) -> list:
+        """``n`` independent super-steps from ``state``, as a list.
+
+        With the flow they are forward super-steps, against it reverse ones.
+        Matrix-backed pairs take :meth:`DiscreteKernel.spokes` of the
+        matching kernel, which moves the stream exactly as ``n`` single
+        super-steps do; pairs with ``spokes`` call it; any other pair takes
+        ``n`` single super-steps.
+        """
+        if self.forward_kernel is not None:
+            kernel = self.forward_kernel if with_flow else self.reverse_kernel
+            return kernel.spokes(state, n, self.step_size, rng)
+        if self.spokes is not None:
+            return self.spokes(state, n, self.step_size, rng)
+        move = self.super_forward if with_flow else self.super_reverse
+        return [move(state, rng) for _ in range(n)]

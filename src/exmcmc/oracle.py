@@ -74,10 +74,11 @@ def exact_joint(
 
     ``method`` is one of ``"iid"``, ``"sequential"``, ``"parallel"``,
     ``"permuted_serial"``, or a :class:`MarkedTree` (for which ``n_draws``
-    and ``step`` are taken from the tree itself).
+    is taken from the tree, and each edge is one ``step``-step super-step,
+    as in :func:`~exmcmc.samplers.sample_tree` with a pair of that step size).
     """
     if isinstance(method, MarkedTree):
-        return _exact_joint_tree(method, kernel, target)
+        return _exact_joint_tree(method, kernel, target, step)
     if n_draws is None:
         raise ValueError("n_draws is required for non-tree methods")
     n = len(kernel)
@@ -132,15 +133,15 @@ def exact_joint(
 
 
 def _exact_joint_tree(
-    tree: MarkedTree, kernel: DiscreteKernel, target: DiscreteDistribution
+    tree: MarkedTree, kernel: DiscreteKernel, target: DiscreteDistribution, step: int
 ) -> JointLaw:
     """Generic tree-method law: enumerate every vertex assignment and root."""
     n = len(kernel)
     _guard(n, tree.vertex_count)
     m = tree.n_draws
     pi = target.mass
-    fwd = kernel.matrix
-    back = reversal(kernel, target).matrix
+    fwd = kernel.power(step)
+    back = reversal(kernel, target).power(step)
     adj = tree.adjacency()
 
     # Rooted edge orientation per possible starting mark.

@@ -5,13 +5,17 @@ invalidity demonstration), and the marked-tree method with constructors for
 path, star, and split-star trees.  Each tree edge is one super-step of the
 kernel pair, and the tree is walked depth-first from the observed point's
 mark.  The parallel (hub-and-spoke) method is the tree method on a star, and
-the permuted serial method is the tree method on a path.
+the permuted serial method is the tree method on a path.  A run of two or
+more consecutive same-flow leaf children of a vertex (the spokes of a star)
+is drawn in one :meth:`KernelPair.fan` call, which batches it for
+matrix-backed pairs and for pairs with a ``spokes`` batch path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from itertools import groupby
 from typing import Callable, Optional
 
 import numpy as np
@@ -86,8 +90,28 @@ class MarkedTree:
 
     @cached_property
     def _neighbors(self) -> tuple:
-        """:meth:`adjacency` as tuples, built once per tree for the walk."""
-        return tuple(map(tuple, self.adjacency()))
+        """:meth:`adjacency` as tuples, built once per tree for the walk.
+
+        A run of two or more consecutive same-flow neighbours that are leaves
+        (degree-one vertices) becomes one ``(leaves, with_flow)`` entry, so
+        that the walk draws them as one fan.
+        """
+        adj = self.adjacency()
+        is_leaf = [len(entries) == 1 for entries in adj]
+
+        def grouped(entries):
+            if sum(is_leaf[w] for w, _ in entries) < 2:
+                return tuple(entries)
+            out = []
+            for (leaf, f), run in groupby(entries, lambda e: (is_leaf[e[0]], e[1])):
+                run = tuple(w for w, _ in run)
+                if leaf and len(run) > 1:
+                    out.append((run, f))
+                else:
+                    out.extend((w, f) for w in run)
+            return tuple(out)
+
+        return tuple(map(grouped, adj))
 
 
 @dataclass
@@ -176,7 +200,10 @@ def sample_tree(
     the edge's flow and reverse against it.  The walk is depth-first from
     x0's vertex, children in edge order: any order gives the same law, and
     this one consumes the stream on a path tree exactly as a chain run
-    backwards from m* and then forwards would.
+    backwards from m* and then forwards would.  A run of consecutive
+    same-flow leaf children is drawn by one :meth:`KernelPair.fan` call,
+    which for a matrix-backed pair moves the stream exactly as the single
+    super-steps would.
     """
     sigma = tuple(rng.permutation(tree.n_draws + 1).tolist())
     m_star = sigma[0]
@@ -186,11 +213,18 @@ def sample_tree(
     forward, reverse = pair.super_forward, pair.super_reverse
     y = [None] * tree.vertex_count
     y[root] = x0
-    # Stack entries are (vertex, parent, with_flow); children are pushed in
-    # reverse so that they pop in edge order.
+    # Stack entries are (vertex or fan of leaves, parent, with_flow);
+    # children are pushed in reverse so that they pop in edge order.
     stack = [(v, root, f) for v, f in reversed(neighbors[root])]
     while stack:
         v, u, with_flow = stack.pop()
+        if v.__class__ is tuple:
+            # A fan of leaves; the only leaf already placed is a leaf root.
+            if root in v:
+                v = tuple(w for w in v if w != root)
+            for w, state in zip(v, pair.fan(y[u], len(v), with_flow, rng)):
+                y[w] = state
+            continue
         y[v] = forward(y[u], rng) if with_flow else reverse(y[u], rng)
         for w, f in reversed(neighbors[v]):
             if w != u:

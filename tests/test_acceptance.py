@@ -175,6 +175,7 @@ def test_criterion_07_algebraic_identities():
     _report(7, "reversal / stationarity / double-reversal residuals <= 1e-12", worst <= 1e-12, f"max {worst:.2e}")
 
 
+@pytest.mark.soak
 def test_criterion_08_margin_conservation():
     """10^6 swaps conserve margins exactly; unit fiber occupancy is uniform."""
     rng = substream(20250824, 8)

@@ -1,6 +1,7 @@
 """Concrete chains: AR(1), bimodal MH, checkerboard swaps, permutation chain."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from exmcmc.chains import (
     checkerboard_swap_step,
     cooccurrence_statistic,
     cpt_pair,
+    cpt_swap_spokes,
     cpt_swap_step,
     cpt_target,
     cpt_transition_matrix,
@@ -140,6 +142,7 @@ class TestCheckerboardSwap:
         m = BinaryMatrix([[1, 0]])
         assert checkerboard_swap_step(m, rng) == m
 
+    @pytest.mark.soak
     def test_margin_conservation_soak(self):
         """10^6 steps on a 20x12 matrix: margins unchanged, exactly."""
         rng = substream(8)
@@ -150,6 +153,7 @@ class TestCheckerboardSwap:
         assert np.array_equal(m.entries.sum(axis=1), rows)
         assert np.array_equal(m.entries.sum(axis=0), cols)
 
+    @pytest.mark.soak
     def test_unit_margin_fiber_uniform(self):
         """3x3 permutation fiber: occupancy uniform within 4 SE over 10^6 steps."""
         from exmcmc.oracle import enumerate_fiber
@@ -264,6 +268,64 @@ class TestPermutationChain:
 
         assert cpt_swap_step(state, q, FixedRng()) is state
 
+    @staticmethod
+    def _downhill(delta):
+        """Two slots, identity start: swapping slots 0 and 1 changes the log
+        weight by ``delta``."""
+        q = np.array([[0.0, 0.0], [delta, 0.0]])
+        return make_permutation_state((0, 1), q), q
+
+    class ZeroUniformRng:
+        """Proposes slots 0 and 1 for every run; every uniform is exactly 0."""
+
+        def __init__(self):
+            self.slot = 1
+
+        def integers(self, high, size=None):
+            if size is not None:  # the lockstep chain's (steps, 2, n) draw
+                slots = np.zeros(size, dtype=int)
+                slots[:, 1] = 1
+                return slots
+            self.slot = 1 - self.slot  # j = 0, then k = 1
+            return self.slot
+
+        def random(self, size=None):
+            return 0.0 if size is None else np.zeros(size)
+
+    @pytest.mark.parametrize("delta, moves", [(-1.0, True), (-1000.0, False), (1000.0, True)])
+    def test_zero_uniform_step(self, delta, moves):
+        """A uniform of exactly 0 takes no log: it accepts unless exp(delta)
+        underflows to 0."""
+        state, q = self._downhill(delta)
+        out = cpt_swap_step(state, q, self.ZeroUniformRng())
+        assert out.perm == ((1, 0) if moves else (0, 1))
+        assert out.log_weight == state.log_weight + (delta if moves else 0.0)
+
+    @pytest.mark.parametrize("delta, moves", [(-1.0, True), (-1000.0, False), (1000.0, True)])
+    def test_zero_uniform_spokes(self, delta, moves):
+        """The lockstep chain neither takes log(0) nor warns on any delta."""
+        state, q = self._downhill(delta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = cpt_swap_spokes(state, q, 4, 1, self.ZeroUniformRng())
+        assert len(out) == 4
+        for s in out:
+            assert s.perm == ((1, 0) if moves else (0, 1))
+            assert s.log_weight == state.log_weight + (delta if moves else 0.0)
+
+    def test_spokes_are_permutations_with_cached_weights(self):
+        rng = substream(14)
+        q = rng.standard_normal((7, 7))
+        start = make_permutation_state((3, 1, 4, 0, 6, 2, 5), q)
+        out = cpt_swap_spokes(start, q, 50, 30, rng)
+        assert len(out) == 50 and len({s.perm for s in out}) > 1
+        for s in out:
+            assert sorted(s.perm) == list(range(7))
+            assert all(type(p) is int for p in s.perm)
+            recomputed = sum(q[s.perm[j], j] for j in range(7))
+            assert abs(s.log_weight - recomputed) <= 1e-12
+
+    @pytest.mark.soak
     def test_log_weight_drift_soak(self):
         """Incremental cache stays within 1e-6 of recomputation over 10^6 steps."""
         rng = substream(10)
@@ -274,6 +336,7 @@ class TestPermutationChain:
         recomputed = sum(q[state.perm[j], j] for j in range(8))
         assert abs(state.log_weight - recomputed) <= 1e-6
 
+    @pytest.mark.soak
     def test_constant_q_uniform_occupancy(self):
         """Constant table: uniform over 3! permutations within 4 SE."""
         rng = substream(11)

@@ -1,11 +1,14 @@
 """Experiment harness and command-line interface."""
 
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import exmcmc
 from exmcmc.cli import main
 from exmcmc.errors import ConfigError, NotReversibleError
 from exmcmc.experiments import (
@@ -28,6 +31,10 @@ class TestConfig:
     def test_rejects_bad_reps(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(reps=0)
+
+    def test_rejects_zero_draws(self):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(n_draws=0)
 
     def test_rejects_bad_step(self):
         with pytest.raises(ConfigError):
@@ -115,6 +122,19 @@ class TestExitCodes:
         assert main(["cpt-demo", "--n", "1", "--reps", "2"]) == 2
         assert "error: test statistic evaluated to NaN" in capsys.readouterr().err
 
+    def test_x0_outside_bimodal_states(self, capsys):
+        assert main(["consistency", "--x0", "500", "--reps", "1", "--m-values", "5"]) == 2
+        assert "x0 must be a state of the chain (1..100), got 500.0" in capsys.readouterr().err
+
+    def test_x0_outside_two_state_chain(self, capsys):
+        assert main(["pinfty", "--chain", "two-state", "--x0", "7"]) == 2
+        assert "x0 must be a state of the chain (0..1), got 7.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bimodal-table", "matrix-gof", "cpt-demo", "sqrt-eps"])
+    def test_zero_draws(self, command, capsys):
+        assert main([command, "--M", "0", "--reps", "1"]) == 2
+        assert "M (n_draws) must be >= 1" in capsys.readouterr().err
+
     def test_rho_outside_unit_interval(self, capsys):
         assert main(["power-curve", "--rho", "1.5"]) == 2
         assert "rho must lie in (-1, 1)" in capsys.readouterr().err
@@ -156,6 +176,10 @@ class TestExitCodes:
         assert code == 0
 
     def test_console_entry_point(self, tmp_path):
+        # The child interpreter imports the package under test, also from an
+        # uninstalled checkout.
+        src = str(Path(exmcmc.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [
                 sys.executable,
@@ -169,6 +193,7 @@ class TestExitCodes:
             ],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
 

@@ -9,6 +9,7 @@ from exmcmc import fixtures
 from exmcmc.chains import bimodal_target, mh_pm1_kernel
 from exmcmc.errors import (
     DimensionMismatchError,
+    NotReversibleError,
     ReversalUndefinedError,
     StationarityViolationError,
     UnsupportedRepresentationError,
@@ -240,12 +241,29 @@ class TestKernelPair:
         with pytest.raises(ValueError):
             KernelPair(lambda s, r: s, lambda s, r: s, step_size=0)
 
+    def test_spokes_require_a_reversible_pair(self):
+        """A spokes batch serves both directions, so it needs reversibility."""
+
+        def spokes(state, n, steps, rng):
+            return [state] * n
+
+        with pytest.raises(NotReversibleError):
+            KernelPair(lambda s, r: s, lambda s, r: s, spokes=spokes)
+        pair = KernelPair(lambda s, r: s, lambda s, r: s, reversible=True, spokes=spokes)
+        assert pair.fan("a", 3, False, None) == ["a", "a", "a"]
+
+    def test_fan_without_batch_takes_single_super_steps(self):
+        pair = KernelPair(lambda s, r: s + 1, lambda s, r: s - 1, step_size=2)
+        assert pair.fan(0, 3, True, None) == [2, 2, 2]
+        assert pair.fan(0, 2, False, None) == [-2, -2]
+
 
 class TopOfUnitInterval:
     """Generator stub whose every uniform is the largest double below 1."""
 
-    def random(self):
-        return float(np.nextafter(1.0, 0.0))
+    def random(self, size=None):
+        top = float(np.nextafter(1.0, 0.0))
+        return top if size is None else np.full(size, top)
 
 
 class TestInverseCdfAtTopOfUnitInterval:
@@ -270,3 +288,14 @@ class TestInverseCdfAtTopOfUnitInterval:
             for x in target.states:
                 y = move(x, rng)
                 assert law[kernel.index(x), kernel.index(y)] > 0, (x, y)
+
+    @pytest.mark.parametrize("step", [1, 100])
+    def test_fans(self, step):
+        target = bimodal_target()
+        pair = KernelPair.from_discrete(mh_pm1_kernel(target), target, step)
+        rng = TopOfUnitInterval()
+        for kernel, with_flow in ((pair.forward_kernel, True), (pair.reverse_kernel, False)):
+            law = kernel.power(step)
+            for x in target.states:
+                for y in pair.fan(x, 3, with_flow, rng):
+                    assert law[kernel.index(x), kernel.index(y)] > 0, (x, y)

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from exmcmc import fixtures
-from exmcmc.chains import BinaryMatrix
+from exmcmc.chains import (
+    BinaryMatrix,
+    cpt_pair,
+    cpt_target,
+    cpt_transition_matrix,
+    make_permutation_state,
+)
 from exmcmc.errors import TractabilityError
 from exmcmc.kernel import KernelPair
 from exmcmc.oracle import (
@@ -194,16 +200,36 @@ class TestSamplersMatchTheirLaws:
         self._check(self._empirical(draw, self.N), law, self.N)
 
     def test_tree_edges_are_super_steps(self):
-        """A step-2 pair on one-edge arms has the law of two-edge arms."""
+        """A step-2 pair on one-edge arms has the law of two-edge arms, which
+        is the step-2 law of the one-edge tree."""
         kernel, target = fixtures.biased_cycle()
         pair = KernelPair.from_discrete(kernel, target, 2)
         tree = build_split_star(2, 1, 1)
         law = exact_joint(build_split_star(2, 1, 2), kernel, target)
+        super_law = exact_joint(tree, kernel, target, step=2)
+        assert tv(law, super_law) <= 1e-12
 
         def draw(rng):
             x0 = target.sample(rng)
             out = sample_tree(pair, x0, tree, rng)
             return (x0, *out.draws)
+
+        counts = self._empirical(draw, self.N)
+        self._check(counts, law, self.N)
+        self._check(counts, super_law, self.N)
+
+    @pytest.mark.filterwarnings("error")
+    def test_cpt_parallel_fan(self):
+        """The lockstep CPT spokes give the parallel method's exact law."""
+        q = substream(18).standard_normal((3, 3))
+        target = cpt_target(q)
+        pair = cpt_pair(q, 2)
+        law = exact_joint("parallel", cpt_transition_matrix(q), target, n_draws=2, step=2)
+
+        def draw(rng):
+            x0 = make_permutation_state(target.sample(rng), q)
+            out = sample_parallel(pair, x0, 2, rng)
+            return (x0.perm, *(d.perm for d in out.draws))
 
         self._check(self._empirical(draw, self.N), law, self.N)
 

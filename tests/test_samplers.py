@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from exmcmc import fixtures
+from exmcmc.chains import Ar1Kernel
 from exmcmc.errors import TreeFormatError, TreeValidationError
-from exmcmc.kernel import KernelPair
+from exmcmc.kernel import KernelPair, reversal
 from exmcmc.rng import substream
 from exmcmc.samplers import (
     MarkedTree,
@@ -20,6 +21,10 @@ from exmcmc.samplers import (
     sample_sequential,
     sample_tree,
 )
+
+# Vertex 0 has a fan of three reverse-flow leaves and one of two forward-flow
+# leaves; every leaf is marked, so the root is often in a fan.
+LEAF_FANS = MarkedTree(6, ((1, 0), (2, 0), (3, 0), (0, 4), (0, 5)), (1, 2, 3, 4, 5, 0))
 
 
 class TestMarkedTreeValidation:
@@ -144,6 +149,65 @@ class TestSampleSets:
             out = sample_tree(skewed_pair, "a", tree, rng)
             assert out.n_draws == tree.n_draws
             assert all(d in ("a", "b", "c") for d in out.draws)
+
+    @pytest.mark.parametrize("chain", ["lazy_walk_skewed", "drift_cycle_skewed"])
+    def test_matrix_fans_move_the_stream_as_single_steps(self, chain):
+        """A matrix-backed pair draws its fans in one call; a plain callable
+        pair has no batch path.  At L=1 both give the same draws, sigma and
+        generator state, on reversible and non-reversible kernels."""
+        kernel, target = getattr(fixtures, chain)()
+        fanned = KernelPair.from_discrete(kernel, target)
+        plain = KernelPair(kernel.step, reversal(kernel, target).step)
+        for seed in range(30):
+            x0 = kernel.states[seed % len(kernel)]
+            for sample in (
+                lambda pair, rng: sample_parallel(pair, x0, 7, rng),
+                lambda pair, rng: sample_tree(pair, x0, LEAF_FANS, rng),
+                lambda pair, rng: sample_tree(pair, x0, build_split_star(3, 1, 1), rng),
+            ):
+                rng_a, rng_b = substream(7, seed), substream(7, seed)
+                a, b = sample(fanned, rng_a), sample(plain, rng_b)
+                assert a.draws == b.draws and a.sigma == b.sigma
+                assert rng_a.random() == rng_b.random()
+
+    def test_each_edge_is_stepped_once(self):
+        """A fan never redraws a leaf root."""
+        moves = []
+        pair = KernelPair(lambda s, r: moves.append(s) or s, lambda s, r: moves.append(s) or s)
+        for tree in (build_star_tree(7, 1), LEAF_FANS, build_split_star(3, 1, 1)):
+            for seed in range(10):
+                moves.clear()
+                sample_tree(pair, 0, tree, substream(8, seed))
+                assert len(moves) == len(tree.edges)
+
+    def test_leaf_runs_are_grouped(self):
+        star = build_star_tree(4, 1)
+        assert star._neighbors[0] == (((1, 2, 3, 4, 5), True),)
+        path = build_path_tree(4, 1)
+        assert all(type(w) is int for entries in path._neighbors for w, _ in entries)
+        # A split star's hub fans only over one-vertex arms.
+        assert build_split_star(3, 1, 1)._neighbors[0] == (((1, 2, 3), True),)
+        assert build_split_star(3, 2, 1)._neighbors[0] == ((1, True), (3, True), (5, True))
+
+    def test_ar1_fan_has_the_parallel_law(self):
+        """Closed-form AR(1) spokes: stationary draws, hub-and-spoke
+        correlation rho**(2L) with x0 and between spokes."""
+        rho, step, reps = 0.8, 2, 20_000
+        pair = Ar1Kernel(rho).pair(step)
+        rng = substream(21)
+        rows = []
+        for _ in range(reps):
+            x0 = float(rng.standard_normal())
+            out = sample_parallel(pair, x0, 3, rng)
+            assert all(type(d) is float for d in out.draws)
+            rows.append((x0, *out.draws))
+        data = np.array(rows)
+        se = 1 / np.sqrt(reps)
+        assert np.all(np.abs(data.mean(axis=0)) <= 5 * se)
+        assert np.all(np.abs(data.var(axis=0) - 1) <= 5 * np.sqrt(2) * se)
+        corr = np.corrcoef(data.T)
+        off = corr[~np.eye(4, dtype=bool)]
+        assert np.all(np.abs(off - rho ** (2 * step)) <= 5 * se)
 
     def test_same_stream_reproduces(self, skewed_pair):
         a = sample_permuted_serial(skewed_pair, "a", 6, substream(3, 1))
