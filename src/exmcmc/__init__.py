@@ -60,7 +60,7 @@ from .pvalue import (
     power_parallel_limit,
     sqrt_epsilon,
 )
-from .rng import master_stream, substream
+from .rng import substream
 from .samplers import (
     MarkedTree,
     SampleSet,

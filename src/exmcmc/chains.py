@@ -119,8 +119,10 @@ class BinaryMatrix:
         return self.entries.shape
 
     def __eq__(self, other):
-        return isinstance(other, BinaryMatrix) and np.array_equal(
-            self.entries, other.entries
+        return (
+            isinstance(other, BinaryMatrix)
+            and self.entries.shape == other.entries.shape
+            and self.entries.tobytes() == other.entries.tobytes()
         )
 
     def __hash__(self):
@@ -130,24 +132,25 @@ class BinaryMatrix:
 def checkerboard_swap_step(m: BinaryMatrix, rng: np.random.Generator) -> BinaryMatrix:
     """One lazy checkerboard swap: preserves margins exactly.
 
-    Picks a uniformly random pair of rows and pair of columns; if the 2x2
-    submatrix is a checkerboard, flips it to the other checkerboard,
-    otherwise stays put.  The proposal is symmetric, so the chain is
-    reversible with respect to the uniform law on the margin-fixed fiber.
+    Picks a uniformly random ordered pair of rows and of columns, decoded
+    from one integer draw; if the 2x2 submatrix is a checkerboard, flips it
+    to the other checkerboard, otherwise stays put.  The proposal is
+    symmetric, so the chain is reversible with respect to the uniform law on
+    the margin-fixed fiber.
     """
-    rows, cols = m.shape
-    if rows < 2 or cols < 2:
+    e = m.entries
+    rows, cols = e.shape
+    n_proposals = rows * (rows - 1) * cols * (cols - 1)
+    if n_proposals == 0:
         return m
-    i = int(rng.integers(rows))
-    j = int(rng.integers(rows - 1))
+    code, l = divmod(int(rng.integers(n_proposals)), cols - 1)
+    code, k = divmod(code, cols)
+    i, j = divmod(code, rows - 1)
     if j >= i:
         j += 1
-    k = int(rng.integers(cols))
-    l = int(rng.integers(cols - 1))
     if l >= k:
         l += 1
-    e = m.entries
-    a, b, c, d = e[i, k], e[i, l], e[j, k], e[j, l]
+    a, b, c, d = e.item(i, k), e.item(i, l), e.item(j, k), e.item(j, l)
     if a == d and b == c and a != b:
         new = e.copy()
         new[i, k] = b

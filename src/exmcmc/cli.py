@@ -88,8 +88,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
-    if getattr(args, "alpha", None):
-        overrides["alphas"] = tuple(float(a) for a in args.alpha.split(","))
+    if getattr(args, "alpha", None) is not None:
+        overrides["alphas"] = tuple(float(a) for a in args.alpha.split(",") if a)
     if getattr(args, "rho", None):
         overrides["rho"] = tuple(float(r) for r in args.rho.split(","))
     if getattr(args, "mu", None) is not None:

@@ -79,9 +79,17 @@ class ExperimentConfig:
             raise ConfigError("M (n_draws) must be >= 1")
         if self.step is not None and self.step < 1:
             raise ConfigError("step must be >= 1")
+        if not self.alphas:
+            raise ConfigError("alphas must not be empty")
         for a in self.alphas:
             if not 0 < a < 1:
                 raise ConfigError(f"alpha values must lie in (0, 1), got {a!r}")
+        if self.rows < 2 or self.cols < 2:
+            raise ConfigError(f"rows and cols must be >= 2, got {self.rows}x{self.cols}")
+        if self.n < 3:
+            raise ConfigError(f"n must be >= 3, got {self.n}")
+        if any(m < 1 for m in self.m_values):
+            raise ConfigError(f"m_values must all be >= 1, got {self.m_values}")
 
 
 @dataclass
@@ -116,6 +124,13 @@ def _state_x0(config: ExperimentConfig, states: tuple, default):
     return int(x0)
 
 
+def _one_alpha(config: ExperimentConfig, runner: str) -> float:
+    """The level of a runner that reports at one significance level only."""
+    if len(config.alphas) > 1:
+        raise ConfigError(f"{runner} takes a single alpha level, got {config.alphas}")
+    return config.alphas[0]
+
+
 def _binomial_se(rate: float, count: int) -> float:
     return math.sqrt(max(rate * (1.0 - rate), 1e-12) / count)
 
@@ -127,7 +142,7 @@ def run_bimodal_table(config: ExperimentConfig) -> ExperimentResult:
     """Rejection percentages of the standard, parallel and permuted-serial
     tests on the bimodal chain, split by which mode the data sits near."""
     reps = config.reps or 2500
-    alpha = config.alphas[0]
+    alpha = _one_alpha(config, "bimodal-table")
     target = bimodal_target()
     kernel = mh_pm1_kernel(target)
     pair = KernelPair.from_discrete(kernel, target, config.step or 100)
@@ -218,7 +233,7 @@ def run_power_curve(config: ExperimentConfig) -> ExperimentResult:
     """
     reps = config.reps or 2000
     m = config.n_draws or 2000
-    alpha = config.alphas[0]
+    alpha = _one_alpha(config, "power-curve")
     rows = []
     violations = []
     optimal = 1.0 - normal_cdf(normal_quantile(1.0 - alpha) - config.mu)
@@ -261,6 +276,7 @@ def run_consistency(config: ExperimentConfig) -> ExperimentResult:
     limiting-mixture spread, whose exact atoms are reported alongside.
     """
     reps = config.reps or 100
+    _one_alpha(config, "consistency")
     target = bimodal_target()
     kernel = mh_pm1_kernel(target)
     pair = KernelPair.from_discrete(kernel, target, config.step or 100)
@@ -319,12 +335,6 @@ def _swap_chain_pair(step: int) -> KernelPair:
     )
 
 
-def _advance_swaps(m: BinaryMatrix, steps: int, rng: np.random.Generator) -> BinaryMatrix:
-    for _ in range(steps):
-        m = checkerboard_swap_step(m, rng)
-    return m
-
-
 def run_matrix_gof(config: ExperimentConfig) -> ExperimentResult:
     """Permuted-serial test of margin-conditioned uniformity.
 
@@ -333,26 +343,28 @@ def run_matrix_gof(config: ExperimentConfig) -> ExperimentResult:
     does not).  The alternative batch plants a column-pair association.
     """
     reps = config.reps or 500
-    alpha = config.alphas[0]
+    alpha = _one_alpha(config, "matrix-gof")
     step = config.step or 50
     m = config.n_draws or 99
     pair = _swap_chain_pair(step)
 
     gen_rng = substream(config.seed, 10**6)
     base = BinaryMatrix((gen_rng.random((config.rows, config.cols)) < 0.4).astype(int))
-    current = _advance_swaps(base, 100_000, gen_rng)
+    current = _swap_chain_pair(100_000).super_forward(base, gen_rng)
+    thinning = _swap_chain_pair(2000)
 
     rows = []
     rejects = {"null": 0, "alternative": 0}
-    for rep in range(reps):
-        current = _advance_swaps(current, 2000, gen_rng)
-        x0 = current
-        rng = substream(config.seed, rep)
+
+    def test(batch: str, rep: int, x0: BinaryMatrix, rng: np.random.Generator) -> None:
         ser = sample_permuted_serial(pair, x0, m, rng)
         p = p_mc(association_statistic(x0), [association_statistic(d) for d in ser.draws])
-        reject = p <= alpha
-        rejects["null"] += reject
-        rows.append(("null", rep, float(p), int(reject)))
+        rejects[batch] += p <= alpha
+        rows.append((batch, rep, float(p), int(p <= alpha)))
+
+    for rep in range(reps):
+        current = thinning.super_forward(current, gen_rng)
+        test("null", rep, current, substream(config.seed, rep))
 
     for rep in range(reps):
         rng = substream(config.seed, reps + rep)
@@ -362,12 +374,7 @@ def run_matrix_gof(config: ExperimentConfig) -> ExperimentResult:
         for col in range(1, min(4, config.cols)):
             copy_mask = rng.random(config.rows) < config.effect
             grid[copy_mask, col] = grid[copy_mask, 0]
-        x0 = BinaryMatrix(grid)
-        ser = sample_permuted_serial(pair, x0, m, rng)
-        p = p_mc(association_statistic(x0), [association_statistic(d) for d in ser.draws])
-        reject = p <= alpha
-        rejects["alternative"] += reject
-        rows.append(("alternative", rep, float(p), int(reject)))
+        test("alternative", rep, BinaryMatrix(grid), rng)
 
     violations = []
     if config.check:
@@ -397,7 +404,7 @@ def run_cpt_demo(config: ExperimentConfig) -> ExperimentResult:
     permutation chain.
     """
     reps = config.reps or 500
-    alpha = config.alphas[0]
+    alpha = _one_alpha(config, "cpt-demo")
     n = config.n
     step = config.step or 2 * n
     m = config.n_draws or 99

@@ -11,11 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def master_stream(seed: int) -> np.random.Generator:
-    """Root generator for a given master seed."""
-    return np.random.default_rng(np.random.SeedSequence(seed))
-
-
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Independent generator derived from ``(seed, path)``.
 

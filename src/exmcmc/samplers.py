@@ -272,17 +272,9 @@ def build_star_tree(n_draws: int, step: int) -> MarkedTree:
 
 @lru_cache(maxsize=64)
 def _star_tree(n_draws: int, step: int) -> MarkedTree:
-    edges = []
-    marks = []
-    next_vertex = 1
-    for _ in range(n_draws + 1):
-        prev = 0
-        for _ in range(step):
-            edges.append((prev, next_vertex))
-            prev = next_vertex
-            next_vertex += 1
-        marks.append(prev)
-    return MarkedTree(next_vertex, tuple(edges), tuple(marks))
+    # A split star of one-mark arms, without the hub's mark.
+    split = build_split_star(n_draws + 1, 1, step)
+    return MarkedTree(split.vertex_count, split.edges, split.marks[1:])
 
 
 def build_split_star(arms: int, draws_per_arm: int, step: int) -> MarkedTree:

@@ -124,9 +124,73 @@ class TestBinaryMatrix:
         b = BinaryMatrix([[1, 0], [0, 1]])
         assert a == b and hash(a) == hash(b)
         assert a != BinaryMatrix([[0, 1], [1, 0]])
+        assert a != BinaryMatrix([[1, 0, 0, 1]])  # same bytes, other shape
+        assert a != "not a matrix"
+
+
+class _CyclingGenerator:
+    """Stub generator: ``integers(high)`` returns 0, 1, ..., high - 1 in turn."""
+
+    def __init__(self):
+        self.integer_calls = 0
+
+    def integers(self, high):
+        value = self.integer_calls % high
+        self.integer_calls += 1
+        return value
+
+    def random(self, *args, **kwargs):
+        raise AssertionError("the swap step must not draw a float")
+
+
+def _proposals_over_one_cycle(m: BinaryMatrix):
+    """Run the swap step once per proposal code; return the ordered
+    ``(i, j, k, l)`` it read, the states it passed through and the stub."""
+    reads = []
+
+    class ReadLog(np.ndarray):
+        def item(self, *index):
+            reads.append(index)
+            return super().item(*index)
+
+    rows, cols = m.entries.shape
+    cycle = rows * (rows - 1) * cols * (cols - 1)
+    m.entries = m.entries.view(ReadLog)
+    stub = _CyclingGenerator()
+    proposals, states = [], [m]
+    for _ in range(cycle):
+        reads.clear()
+        states.append(checkerboard_swap_step(states[-1], stub))
+        (i, k), (i2, l), (j, k2), (j2, l2) = reads
+        assert (i2, k2, j2, l2) == (i, k, j, l)
+        proposals.append((i, j, k, l))
+    return proposals, states, stub
+
+
+def _ordered_pairs(n):
+    return [(a, b) for a in range(n) for b in range(n) if a != b]
 
 
 class TestCheckerboardSwap:
+    def test_one_draw_proposes_every_ordered_pair_once(self):
+        m = BinaryMatrix([[1, 0, 1], [0, 1, 1], [1, 1, 0], [0, 0, 1]])
+        proposals, _, stub = _proposals_over_one_cycle(m)
+        expected = {(i, j, k, l) for i, j in _ordered_pairs(4) for k, l in _ordered_pairs(3)}
+        assert len(proposals) == len(expected) == 72
+        assert set(proposals) == expected
+        assert stub.integer_calls == 72  # one integers call per step
+
+    def test_checkerboard_accepts_every_proposal(self):
+        m = BinaryMatrix([[1, 0], [0, 1]])
+        rows, cols = m.row_sums.copy(), m.col_sums.copy()
+        proposals, states, stub = _proposals_over_one_cycle(m)
+        assert sorted(proposals) == [(0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0)]
+        assert stub.integer_calls == 4
+        for before, after in zip(states, states[1:]):
+            assert not np.array_equal(before.entries, after.entries)
+            assert np.array_equal(after.entries.sum(axis=1), rows)
+            assert np.array_equal(after.entries.sum(axis=0), cols)
+
     def test_all_ones_never_moves(self, rng):
         m = BinaryMatrix(np.ones((3, 3), dtype=int))
         for _ in range(100):

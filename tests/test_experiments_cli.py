@@ -40,6 +40,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(step=0)
 
+    def test_rejects_empty_alphas(self):
+        with pytest.raises(ConfigError, match="alphas must not be empty"):
+            ExperimentConfig(alphas=())
+
 
 class TestRunners:
     def test_all_subcommands_have_runners(self):
@@ -117,10 +121,42 @@ class TestExitCodes:
         assert main(["pinfty", "--alpha", "1.5"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_package_error_exits_2(self, capsys):
-        # one observation per data set: the residual correlation is NaN
-        assert main(["cpt-demo", "--n", "1", "--reps", "2"]) == 2
+    def test_package_error_exits_2(self, monkeypatch, capsys):
+        import exmcmc.experiments as exp
+
+        monkeypatch.setattr(exp, "association_statistic", lambda m: float("nan"))
+        argv = ["matrix-gof", "--reps", "1", "--M", "2", "--L", "1", "--rows", "3", "--cols", "3"]
+        assert main(argv) == 2
         assert "error: test statistic evaluated to NaN" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["matrix-gof", "--rows", "1"], "rows and cols must be >= 2, got 1x12"),
+            (["matrix-gof", "--cols", "0"], "rows and cols must be >= 2, got 20x0"),
+            (["matrix-gof", "--rows", "-3"], "rows and cols must be >= 2, got -3x12"),
+            (["cpt-demo", "--n", "2"], "n must be >= 3, got 2"),
+            (["cpt-demo", "--n", "1"], "n must be >= 3, got 1"),
+            (["consistency", "--m-values", "0,5"], "m_values must all be >= 1, got (0, 5)"),
+            (["sqrt-eps", "--alpha", ""], "alphas must not be empty"),
+        ],
+    )
+    def test_bad_config_field(self, argv, message, capsys):
+        assert main(argv + ["--reps", "1"]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", ["bimodal-table", "power-curve", "consistency", "matrix-gof", "cpt-demo"]
+    )
+    def test_single_level_runner_rejects_alpha_list(self, command, capsys):
+        assert main([command, "--alpha", "0.01,0.05", "--reps", "1"]) == 2
+        assert f"error: {command} takes a single alpha level" in capsys.readouterr().err
+
+    def test_sqrt_eps_reports_every_alpha(self, capsys):
+        argv = ["sqrt-eps", "--alpha", "0.01,0.05", "--reps", "5", "--M", "3", "--L", "2"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[0] for line in lines[1:3]] == ["0.01", "0.05"]
 
     def test_x0_outside_bimodal_states(self, capsys):
         assert main(["consistency", "--x0", "500", "--reps", "1", "--m-values", "5"]) == 2
