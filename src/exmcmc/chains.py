@@ -37,12 +37,7 @@ class Ar1Kernel:
         return self.rho * x + math.sqrt(1.0 - self.rho**2) * rng.standard_normal()
 
     def pair(self, step_size: int = 1) -> KernelPair:
-        def spokes(x_star, n, steps, rng):
-            return self.spokes(x_star, n, steps, rng).tolist()
-
-        return KernelPair(
-            self.step, self.step, step_size=step_size, reversible=True, spokes=spokes
-        )
+        return KernelPair(self.step, self.step, step_size=step_size, reversible=True)
 
     def spokes(
         self, x_star, n: int | tuple, step_size: int, rng: np.random.Generator
@@ -50,8 +45,8 @@ class Ar1Kernel:
         """Vectorized batch of independent L-step draws from ``x_star``.
 
         ``n`` is the batch size or shape, and ``x_star`` (a float or an
-        array) broadcasts against it.  Composing L steps gives an autoregressive draw with correlation
-        ``rho**L``, so a super-step is a single normal draw.
+        array) broadcasts against it.  L steps compose to one autoregressive
+        draw with correlation ``rho**L``, so a super-step is one normal draw.
         """
         rho_l = self.rho**step_size
         return rho_l * x_star + math.sqrt(1.0 - rho_l**2) * rng.standard_normal(n)

@@ -14,18 +14,19 @@ from .errors import ExmcmcError
 from .experiments import RUNNERS, ExperimentConfig
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, alpha: bool) -> None:
     parser.add_argument("--seed", type=int, default=None, help="master seed")
     parser.add_argument("--reps", type=int, default=None, help="replication count")
     parser.add_argument("--M", dest="n_draws", type=int, default=None, help="comparison draws per test")
     parser.add_argument("--L", dest="step", type=int, default=None, help="chain steps per draw")
     parser.add_argument("--out", type=str, default=None, help="CSV output path")
-    parser.add_argument(
-        "--alpha",
-        type=str,
-        default=None,
-        help="comma-separated significance levels, e.g. 0.01,0.05",
-    )
+    if alpha:
+        parser.add_argument(
+            "--alpha",
+            type=str,
+            default=None,
+            help="comma-separated significance levels, e.g. 0.01,0.05",
+        )
     parser.add_argument(
         "--check",
         action="store_true",
@@ -51,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        # consistency and pinfty report no significance level.
+        _add_common(p, alpha=name not in ("consistency", "pinfty"))
         if name == "power-curve":
             p.add_argument("--rho", type=str, default=None, help="comma-separated correlations")
             p.add_argument("--mu", type=float, default=None, help="alternative mean shift")

@@ -39,8 +39,6 @@ from .pvalue import (
 from .rng import substream
 from .samplers import sample_parallel, sample_permuted_serial, sample_sequential
 
-VERSION_STRING = "exmcmc-v0.1.0"
-
 # Pilot-calibrated constants (pilot seed 20250824): the planted column-copy
 # rate for the matrix alternative and the signal slope for the dependent CPT
 # alternative, both chosen so the default alternatives clear their target
@@ -66,8 +64,6 @@ class ExperimentConfig:
     rows: int = 20
     cols: int = 12
     n: int = 40
-    effect: float = DEFAULT_MATRIX_EFFECT
-    beta: float = DEFAULT_CPT_BETA
     chain: str = "two-state"
     out: str | None = None
     check: bool = False
@@ -101,8 +97,11 @@ class ExperimentResult:
     violations: list = field(default_factory=list)
 
     def write_csv(self, path: str) -> None:
+        # The package sets __version__ only after it imports this module.
+        from . import __version__
+
         echo = (
-            f"# {VERSION_STRING} {self.name} seed={self.config.seed}"
+            f"# exmcmc-v{__version__} {self.name} seed={self.config.seed}"
             f" reps={self.config.reps} n_draws={self.config.n_draws}"
             f" step={self.config.step} alphas={'/'.join(str(a) for a in self.config.alphas)}"
         )
@@ -133,6 +132,18 @@ def _one_alpha(config: ExperimentConfig, runner: str) -> float:
 
 def _binomial_se(rate: float, count: int) -> float:
     return math.sqrt(max(rate * (1.0 - rate), 1e-12) / count)
+
+
+def _check_batches(rejects: dict, reps: int, alpha: float, alt_floor: float) -> list:
+    """The null rate must keep the validity bound, the alternative's reach ``alt_floor``."""
+    violations = []
+    null_rate = rejects["null"] / reps
+    if null_rate > alpha + 3 * _binomial_se(alpha, reps):
+        violations.append(f"null rejection rate {null_rate:.4f} exceeds the validity bound")
+    alt_rate = rejects["alternative"] / reps
+    if alt_rate < alt_floor:
+        violations.append(f"alternative rejection rate {alt_rate:.4f} below {alt_floor}")
+    return violations
 
 
 # -- Bimodal rejection table ----------------------------------------------
@@ -276,7 +287,6 @@ def run_consistency(config: ExperimentConfig) -> ExperimentResult:
     limiting-mixture spread, whose exact atoms are reported alongside.
     """
     reps = config.reps or 100
-    _one_alpha(config, "consistency")
     target = bimodal_target()
     kernel = mh_pm1_kernel(target)
     pair = KernelPair.from_discrete(kernel, target, config.step or 100)
@@ -372,18 +382,11 @@ def run_matrix_gof(config: ExperimentConfig) -> ExperimentResult:
         # Plant an association block: columns 1..3 copy column 0 at the
         # calibrated rate, concentrating shared rows on a few column pairs.
         for col in range(1, min(4, config.cols)):
-            copy_mask = rng.random(config.rows) < config.effect
+            copy_mask = rng.random(config.rows) < DEFAULT_MATRIX_EFFECT
             grid[copy_mask, col] = grid[copy_mask, 0]
         test("alternative", rep, BinaryMatrix(grid), rng)
 
-    violations = []
-    if config.check:
-        null_rate = rejects["null"] / reps
-        if null_rate > alpha + 3 * _binomial_se(alpha, reps):
-            violations.append(f"null rejection rate {null_rate:.4f} exceeds the validity bound")
-        alt_rate = rejects["alternative"] / reps
-        if alt_rate < 0.5:
-            violations.append(f"alternative rejection rate {alt_rate:.4f} below 0.5")
+    violations = _check_batches(rejects, reps, alpha, 0.5) if config.check else []
     return ExperimentResult(
         "matrix-gof",
         ("batch", "rep", "p_value", "reject"),
@@ -417,7 +420,7 @@ def run_cpt_demo(config: ExperimentConfig) -> ExperimentResult:
             z = rng.standard_normal(n)
             x = z + rng.standard_normal(n)
             noise = rng.standard_normal(n)
-            y = config.beta * x + noise if dependent else z + noise
+            y = DEFAULT_CPT_BETA * x + noise if dependent else z + noise
 
             q_log = -0.5 * (x[:, None] - z[None, :]) ** 2
             y_res = y - np.polyval(np.polyfit(z, y, 1), z)
@@ -435,14 +438,7 @@ def run_cpt_demo(config: ExperimentConfig) -> ExperimentResult:
             rejects[batch] += reject
             rows.append((batch, rep, float(p), int(reject)))
 
-    violations = []
-    if config.check:
-        null_rate = rejects["null"] / reps
-        if null_rate > alpha + 3 * _binomial_se(alpha, reps):
-            violations.append(f"null rejection rate {null_rate:.4f} exceeds the validity bound")
-        alt_rate = rejects["alternative"] / reps
-        if alt_rate < 0.9:
-            violations.append(f"alternative rejection rate {alt_rate:.4f} below 0.9")
+    violations = _check_batches(rejects, reps, alpha, 0.9) if config.check else []
     return ExperimentResult(
         "cpt-demo",
         ("batch", "rep", "p_value", "reject"),

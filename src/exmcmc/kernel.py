@@ -5,9 +5,9 @@ of abstract state identifiers.  Continuous chains (e.g. the autoregressive
 chain in :mod:`exmcmc.chains`) implement the same step-sampler interface via
 :class:`KernelPair` but do not support matrix operations.
 
-A pair has one optional batch path, :meth:`KernelPair.fan`, which the tree
-sampler uses for a vertex's same-flow leaf children (the spokes of the
-parallel method).
+A pair has one optional batch path, its ``spokes`` hook, which
+:meth:`KernelPair.fan` calls for a run of a vertex's leaf children reached
+with the flow (the spokes of the parallel method).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    NotReversibleError,
     ReversalUndefinedError,
     StationarityViolationError,
     UnsupportedRepresentationError,
@@ -27,7 +26,6 @@ from .errors import (
 # Tolerance for exact algebraic identities on matrices; accumulation through
 # repeated matrix products is checked at 1e-10 instead.
 EXACT_TOL = 1e-12
-POWER_TOL = 1e-10
 
 
 def _pinned_cumsum(mass: np.ndarray) -> np.ndarray:
@@ -72,18 +70,11 @@ class DiscreteDistribution:
     def prob(self, state) -> float:
         return float(self.mass[self._index[state]])
 
-    def sample_index(self, rng: np.random.Generator) -> int:
-        return int(np.searchsorted(self._cum, rng.random(), side="right"))
-
     def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.searchsorted(self._cum, rng.random(size), side="right")
 
     def sample(self, rng: np.random.Generator):
-        return self.states[self.sample_index(rng)]
-
-    def sampler(self) -> Callable[[np.random.Generator], object]:
-        """Direct i.i.d. sampler for this law (inverse-CDF on the mass table)."""
-        return self.sample
+        return self.states[int(np.searchsorted(self._cum, rng.random(), side="right"))]
 
 
 class DiscreteKernel:
@@ -201,10 +192,9 @@ class KernelPair:
     L-step law; for matrix-backed pairs these draw directly from the L-step
     matrix power, which has the same law as L sequential base steps.
 
-    ``spokes(state, n, steps, rng)``, if given, returns a list of ``n``
-    independent ``steps``-step draws from ``state``, each an ordinary state
-    as ``forward`` would return it.  It is accepted only on reversible pairs,
-    because :meth:`fan` uses it with the flow and against it alike.
+    ``spokes(state, n, steps, rng)``, if given, is the pair's one batch path:
+    it returns a list of ``n`` independent forward ``steps``-step draws from
+    ``state``, each an ordinary state as ``forward`` would return it.
     """
 
     def __init__(
@@ -215,22 +205,16 @@ class KernelPair:
         reversible: bool = False,
         forward_kernel: DiscreteKernel | None = None,
         reverse_kernel: DiscreteKernel | None = None,
-        target: DiscreteDistribution | None = None,
         spokes: Callable | None = None,
     ):
         if step_size < 1:
             raise ValueError("step_size must be >= 1")
-        if spokes is not None and not reversible:
-            raise NotReversibleError(
-                "spokes serves both directions, so the pair must be reversible"
-            )
         self.forward = forward
         self.reverse = reverse
         self.step_size = step_size
         self.reversible = reversible
         self.forward_kernel = forward_kernel
         self.reverse_kernel = reverse_kernel
-        self.target = target
         self.spokes = spokes
 
     @classmethod
@@ -248,12 +232,8 @@ class KernelPair:
             reversible=is_reversible(kernel, target),
             forward_kernel=kernel,
             reverse_kernel=rev,
-            target=target,
+            spokes=kernel.spokes,
         )
-
-    @property
-    def is_discrete(self) -> bool:
-        return self.forward_kernel is not None
 
     def require_discrete(self) -> DiscreteKernel:
         if self.forward_kernel is None:
@@ -276,19 +256,13 @@ class KernelPair:
             state = self.reverse(state, rng)
         return state
 
-    def fan(self, state, n: int, with_flow: bool, rng: np.random.Generator) -> list:
-        """``n`` independent super-steps from ``state``, as a list.
+    def fan(self, state, n: int, rng: np.random.Generator) -> list:
+        """``n`` independent forward super-steps from ``state``, as a list.
 
-        With the flow they are forward super-steps, against it reverse ones.
-        Matrix-backed pairs take :meth:`DiscreteKernel.spokes` of the
-        matching kernel, which moves the stream exactly as ``n`` single
-        super-steps do; pairs with ``spokes`` call it; any other pair takes
-        ``n`` single super-steps.
+        Pairs with ``spokes`` call it; any other pair takes ``n`` single
+        super-steps.  Matrix-backed pairs carry :meth:`DiscreteKernel.spokes`,
+        which moves the stream exactly as the single super-steps would.
         """
-        if self.forward_kernel is not None:
-            kernel = self.forward_kernel if with_flow else self.reverse_kernel
-            return kernel.spokes(state, n, self.step_size, rng)
         if self.spokes is not None:
             return self.spokes(state, n, self.step_size, rng)
-        move = self.super_forward if with_flow else self.super_reverse
-        return [move(state, rng) for _ in range(n)]
+        return [self.super_forward(state, rng) for _ in range(n)]

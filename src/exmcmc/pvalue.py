@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from statistics import NormalDist
 from typing import Callable, Sequence
 
 import numpy as np
@@ -134,40 +135,9 @@ def p_infinity_discrete(
 
 
 # -- Normal CDF / quantile -------------------------------------------------
-#
-# The CDF goes through erfc, accurate to full double precision; the quantile
-# is a safeguarded Newton iteration converged to 1e-12.
 
-
-def normal_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def _normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-def normal_quantile(p: float) -> float:
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
-    lo, hi = -40.0, 40.0
-    x = 0.0
-    for _ in range(200):
-        f = normal_cdf(x) - p
-        if f > 0:
-            hi = x
-        else:
-            lo = x
-        d = _normal_pdf(x)
-        step = f / d if d > 0 else 0.0
-        x_new = x - step
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) < 1e-13:
-            x = x_new
-            break
-        x = x_new
-    return x
+normal_cdf = NormalDist().cdf
+normal_quantile = NormalDist().inv_cdf
 
 
 def p_infinity_ar1(x0: float, rho: float, step: int, z_star: float) -> float:

@@ -6,9 +6,9 @@ path, star, and split-star trees.  Each tree edge is one super-step of the
 kernel pair, and the tree is walked depth-first from the observed point's
 mark.  The parallel (hub-and-spoke) method is the tree method on a star, and
 the permuted serial method is the tree method on a path.  A run of two or
-more consecutive same-flow leaf children of a vertex (the spokes of a star)
-is drawn in one :meth:`KernelPair.fan` call, which batches it for
-matrix-backed pairs and for pairs with a ``spokes`` batch path.
+more consecutive leaf children of a vertex reached with the flow (the spokes
+of a star) is drawn in one :meth:`KernelPair.fan` call, which batches it for
+pairs with a ``spokes`` hook.
 """
 
 from __future__ import annotations
@@ -92,23 +92,24 @@ class MarkedTree:
     def _neighbors(self) -> tuple:
         """:meth:`adjacency` as tuples, built once per tree for the walk.
 
-        A run of two or more consecutive same-flow neighbours that are leaves
-        (degree-one vertices) becomes one ``(leaves, with_flow)`` entry, so
-        that the walk draws them as one fan.
+        A run of two or more consecutive neighbours that are leaves
+        (degree-one vertices) reached with the flow becomes one
+        ``(leaves, True)`` entry, so that the walk draws them as one fan.
+        Leaves reached against the flow stay single entries.
         """
         adj = self.adjacency()
         is_leaf = [len(entries) == 1 for entries in adj]
 
         def grouped(entries):
-            if sum(is_leaf[w] for w, _ in entries) < 2:
+            if sum(f and is_leaf[w] for w, f in entries) < 2:
                 return tuple(entries)
             out = []
-            for (leaf, f), run in groupby(entries, lambda e: (is_leaf[e[0]], e[1])):
-                run = tuple(w for w, _ in run)
-                if leaf and len(run) > 1:
-                    out.append((run, f))
+            for fan, run in groupby(entries, lambda e: e[1] and is_leaf[e[0]]):
+                run = tuple(run)
+                if fan and len(run) > 1:
+                    out.append((tuple(w for w, _ in run), True))
                 else:
-                    out.extend((w, f) for w in run)
+                    out.extend(run)
             return tuple(out)
 
         return tuple(map(grouped, adj))
@@ -200,10 +201,10 @@ def sample_tree(
     the edge's flow and reverse against it.  The walk is depth-first from
     x0's vertex, children in edge order: any order gives the same law, and
     this one consumes the stream on a path tree exactly as a chain run
-    backwards from m* and then forwards would.  A run of consecutive
-    same-flow leaf children is drawn by one :meth:`KernelPair.fan` call,
-    which for a matrix-backed pair moves the stream exactly as the single
-    super-steps would.
+    backwards from m* and then forwards would.  A run of consecutive leaf
+    children reached with the flow is drawn by one :meth:`KernelPair.fan`
+    call, which for a matrix-backed pair moves the stream exactly as the
+    single forward super-steps would.
     """
     sigma = tuple(rng.permutation(tree.n_draws + 1).tolist())
     m_star = sigma[0]
@@ -222,7 +223,7 @@ def sample_tree(
             # A fan of leaves; the only leaf already placed is a leaf root.
             if root in v:
                 v = tuple(w for w in v if w != root)
-            for w, state in zip(v, pair.fan(y[u], len(v), with_flow, rng)):
+            for w, state in zip(v, pair.fan(y[u], len(v), rng)):
                 y[w] = state
             continue
         y[v] = forward(y[u], rng) if with_flow else reverse(y[u], rng)

@@ -107,6 +107,12 @@ class TestCsvOutput:
         assert rows[1] == ["atom", "value", "probability"]
         assert len(rows) == 2 + 2  # echo, header, two atoms
 
+    def test_echo_carries_the_package_version(self, tmp_path):
+        out = tmp_path / "result.csv"
+        assert main(["pinfty", "--chain", "two-state", "--out", str(out)]) == 0
+        first = out.read_text(encoding="utf-8").splitlines()[0]
+        assert first.startswith(f"# exmcmc-v{exmcmc.__version__} pinfty ")
+
     def test_stdout_when_no_out(self, capsys):
         assert main(["pinfty", "--chain", "two-state"]) == 0
         captured = capsys.readouterr()
@@ -118,7 +124,7 @@ class TestExitCodes:
         assert main(["pinfty", "--chain", "two-state"]) == 0
 
     def test_config_error(self, capsys):
-        assert main(["pinfty", "--alpha", "1.5"]) == 2
+        assert main(["bimodal-table", "--alpha", "1.5"]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_package_error_exits_2(self, monkeypatch, capsys):
@@ -145,12 +151,17 @@ class TestExitCodes:
         assert main(argv + ["--reps", "1"]) == 2
         assert f"error: {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "command", ["bimodal-table", "power-curve", "consistency", "matrix-gof", "cpt-demo"]
-    )
+    @pytest.mark.parametrize("command", ["bimodal-table", "power-curve", "matrix-gof", "cpt-demo"])
     def test_single_level_runner_rejects_alpha_list(self, command, capsys):
         assert main([command, "--alpha", "0.01,0.05", "--reps", "1"]) == 2
         assert f"error: {command} takes a single alpha level" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pinfty", "consistency"])
+    def test_runner_without_a_level_takes_no_alpha(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--alpha", "0.05"])
+        assert exc.value.code == 2
+        assert "--alpha" in capsys.readouterr().err
 
     def test_sqrt_eps_reports_every_alpha(self, capsys):
         argv = ["sqrt-eps", "--alpha", "0.01,0.05", "--reps", "5", "--M", "3", "--L", "2"]

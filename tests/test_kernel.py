@@ -9,7 +9,6 @@ from exmcmc import fixtures
 from exmcmc.chains import bimodal_target, mh_pm1_kernel
 from exmcmc.errors import (
     DimensionMismatchError,
-    NotReversibleError,
     ReversalUndefinedError,
     StationarityViolationError,
     UnsupportedRepresentationError,
@@ -204,7 +203,7 @@ class TestKernelPair:
         kernel, target = skewed_walk
         pair = KernelPair.from_discrete(kernel, target)
         assert pair.reversible
-        assert pair.is_discrete
+        assert pair.forward_kernel is not None
 
     def test_super_step_matches_matrix_power_law(self, rng):
         """Matrix-power super-steps have the L-step law of base stepping."""
@@ -230,7 +229,7 @@ class TestKernelPair:
         pair = KernelPair(fwd, fwd, step_size=4)
         assert pair.super_forward(0, rng) == 4
         assert calls == [0, 1, 2, 3]
-        assert not pair.is_discrete
+        assert pair.forward_kernel is None
 
     def test_require_discrete_rejects_callables(self, rng):
         pair = KernelPair(lambda s, r: s, lambda s, r: s)
@@ -241,21 +240,23 @@ class TestKernelPair:
         with pytest.raises(ValueError):
             KernelPair(lambda s, r: s, lambda s, r: s, step_size=0)
 
-    def test_spokes_require_a_reversible_pair(self):
-        """A spokes batch serves both directions, so it needs reversibility."""
+    def test_non_reversible_pair_may_carry_spokes(self):
+        """Fans run only with the flow, so any pair may carry a spokes hook;
+        ``fan`` hands it the pair's step size."""
+        calls = []
 
         def spokes(state, n, steps, rng):
+            calls.append((state, n, steps))
             return [state] * n
 
-        with pytest.raises(NotReversibleError):
-            KernelPair(lambda s, r: s, lambda s, r: s, spokes=spokes)
-        pair = KernelPair(lambda s, r: s, lambda s, r: s, reversible=True, spokes=spokes)
-        assert pair.fan("a", 3, False, None) == ["a", "a", "a"]
+        pair = KernelPair(lambda s, r: s, lambda s, r: s, step_size=5, spokes=spokes)
+        assert not pair.reversible
+        assert pair.fan("a", 3, None) == ["a", "a", "a"]
+        assert calls == [("a", 3, 5)]
 
     def test_fan_without_batch_takes_single_super_steps(self):
         pair = KernelPair(lambda s, r: s + 1, lambda s, r: s - 1, step_size=2)
-        assert pair.fan(0, 3, True, None) == [2, 2, 2]
-        assert pair.fan(0, 2, False, None) == [-2, -2]
+        assert pair.fan(0, 3, None) == [2, 2, 2]
 
 
 class TopOfUnitInterval:
@@ -294,8 +295,8 @@ class TestInverseCdfAtTopOfUnitInterval:
         target = bimodal_target()
         pair = KernelPair.from_discrete(mh_pm1_kernel(target), target, step)
         rng = TopOfUnitInterval()
-        for kernel, with_flow in ((pair.forward_kernel, True), (pair.reverse_kernel, False)):
-            law = kernel.power(step)
-            for x in target.states:
-                for y in pair.fan(x, 3, with_flow, rng):
-                    assert law[kernel.index(x), kernel.index(y)] > 0, (x, y)
+        kernel = pair.forward_kernel
+        law = kernel.power(step)
+        for x in target.states:
+            for y in pair.fan(x, 3, rng):
+                assert law[kernel.index(x), kernel.index(y)] > 0, (x, y)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from exmcmc import fixtures
-from exmcmc.chains import Ar1Kernel
+from exmcmc.chains import Ar1Kernel, cpt_pair, make_permutation_state
 from exmcmc.errors import TreeFormatError, TreeValidationError
 from exmcmc.kernel import KernelPair, reversal
 from exmcmc.rng import substream
@@ -22,8 +22,8 @@ from exmcmc.samplers import (
     sample_tree,
 )
 
-# Vertex 0 has a fan of three reverse-flow leaves and one of two forward-flow
-# leaves; every leaf is marked, so the root is often in a fan.
+# Vertex 0 has three reverse-flow leaves, stepped one by one, and a fan of two
+# forward-flow leaves; every leaf is marked, so the root is often a leaf.
 LEAF_FANS = MarkedTree(6, ((1, 0), (2, 0), (3, 0), (0, 4), (0, 5)), (1, 2, 3, 4, 5, 0))
 
 
@@ -103,7 +103,7 @@ class TestTreeBuilders:
 class TestSampleSets:
     def test_iid_metadata(self, rng):
         _, target = fixtures.lazy_walk_skewed()
-        out = sample_iid(target.sampler(), "a", 5, rng)
+        out = sample_iid(target.sample, "a", 5, rng)
         assert out.method == "iid"
         assert out.n_draws == 5
         assert out.exchangeable
@@ -183,6 +183,8 @@ class TestSampleSets:
     def test_leaf_runs_are_grouped(self):
         star = build_star_tree(4, 1)
         assert star._neighbors[0] == (((1, 2, 3, 4, 5), True),)
+        # Only leaves reached with the flow are grouped.
+        assert LEAF_FANS._neighbors[0] == ((1, False), (2, False), (3, False), ((4, 5), True))
         path = build_path_tree(4, 1)
         assert all(type(w) is int for entries in path._neighbors for w, _ in entries)
         # A split star's hub fans only over one-vertex arms.
@@ -190,8 +192,9 @@ class TestSampleSets:
         assert build_split_star(3, 2, 1)._neighbors[0] == ((1, True), (3, True), (5, True))
 
     def test_ar1_fan_has_the_parallel_law(self):
-        """Closed-form AR(1) spokes: stationary draws, hub-and-spoke
-        correlation rho**(2L) with x0 and between spokes."""
+        """The AR(1) pair has no batch path; its single super-steps give
+        stationary draws and hub-and-spoke correlation rho**(2L) with x0 and
+        between spokes."""
         rho, step, reps = 0.8, 2, 20_000
         pair = Ar1Kernel(rho).pair(step)
         rng = substream(21)
@@ -208,6 +211,26 @@ class TestSampleSets:
         corr = np.corrcoef(data.T)
         off = corr[~np.eye(4, dtype=bool)]
         assert np.all(np.abs(off - rho ** (2 * step)) <= 5 * se)
+
+    @pytest.mark.parametrize("chain", ["discrete", "cpt"])
+    def test_parallel_calls_spokes_once(self, chain):
+        """The bimodal and cpt workloads batch through this path: a parallel
+        test makes one ``spokes`` call of M draws."""
+        if chain == "discrete":
+            kernel, target = fixtures.lazy_walk_skewed()
+            pair, x0 = KernelPair.from_discrete(kernel, target, 3), "a"
+        else:
+            q_log = np.log(np.arange(1.0, 17.0)).reshape(4, 4)
+            pair, x0 = cpt_pair(q_log, 3), make_permutation_state(range(4), q_log)
+        calls, spokes = [], pair.spokes
+
+        def counted(state, n, steps, rng):
+            calls.append(n)
+            return spokes(state, n, steps, rng)
+
+        pair.spokes = counted
+        out = sample_parallel(pair, x0, 7, substream(4))
+        assert calls == [7] and out.n_draws == 7
 
     def test_same_stream_reproduces(self, skewed_pair):
         a = sample_permuted_serial(skewed_pair, "a", 6, substream(3, 1))
