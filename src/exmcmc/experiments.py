@@ -3,7 +3,8 @@
 Each runner is deterministic given its config: replication ``r`` always draws
 from the substream ``(seed, r)``, so results do not depend on scheduling or
 on how many replications ran before.  Runners return an
-:class:`ExperimentResult` and can serialize it as RFC-4180 CSV.
+:class:`ExperimentResult` and can serialize it as RFC-4180 CSV.  :data:`RUNNERS`
+records the config fields each runner reads, for the CLI flags and the CSV echo.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -49,7 +49,7 @@ DEFAULT_CPT_BETA = 1.0
 
 @dataclass
 class ExperimentConfig:
-    """Shared configuration; runners ignore fields they do not use."""
+    """Shared configuration; each runner reads the fields it is registered with."""
 
     seed: int = 20250824
     reps: int | None = None
@@ -65,7 +65,6 @@ class ExperimentConfig:
     cols: int = 12
     n: int = 40
     chain: str = "two-state"
-    out: str | None = None
     check: bool = False
 
     def __post_init__(self):
@@ -80,10 +79,21 @@ class ExperimentConfig:
         for a in self.alphas:
             if not 0 < a < 1:
                 raise ConfigError(f"alpha values must lie in (0, 1), got {a!r}")
+        if not self.rho:
+            raise ConfigError("rho must not be empty")
+        for r in self.rho:
+            if not -1 < r < 1:
+                raise ConfigError(f"rho must lie in (-1, 1), got {r!r}")
+        if not math.isfinite(self.mu):
+            raise ConfigError(f"mu must be finite, got {self.mu!r}")
+        if self.step_max < 1:
+            raise ConfigError(f"L-max (step_max) must be >= 1, got {self.step_max}")
         if self.rows < 2 or self.cols < 2:
             raise ConfigError(f"rows and cols must be >= 2, got {self.rows}x{self.cols}")
         if self.n < 3:
             raise ConfigError(f"n must be >= 3, got {self.n}")
+        if not self.m_values:
+            raise ConfigError("m_values must not be empty")
         if any(m < 1 for m in self.m_values):
             raise ConfigError(f"m_values must all be >= 1, got {self.m_values}")
 
@@ -96,21 +106,36 @@ class ExperimentResult:
     config: ExperimentConfig
     violations: list = field(default_factory=list)
 
-    def write_csv(self, path: str) -> None:
+    def write_csv(self, handle) -> None:
+        """Write the config echo (versions and each field the runner reads), header and rows."""
         # The package sets __version__ only after it imports this module.
         from . import __version__
 
-        echo = (
-            f"# exmcmc-v{__version__} {self.name} seed={self.config.seed}"
-            f" reps={self.config.reps} n_draws={self.config.n_draws}"
-            f" step={self.config.step} alphas={'/'.join(str(a) for a in self.config.alphas)}"
-        )
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow([echo])
-            writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow(row)
+        echo = [f"# exmcmc-v{__version__}", self.name, f"numpy={np.__version__}"]
+        for name in RUNNERS[self.name].fields:
+            value = getattr(self.config, name)
+            if isinstance(value, tuple):
+                value = "/".join(map(str, value))
+            echo.append(f"{name}={value}")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow([" ".join(echo)])
+        writer.writerow(self.columns)
+        writer.writerows(self.rows)
+
+
+# Subcommand name -> runner, filled by @_runner.
+RUNNERS = {}
+
+
+def _runner(name: str, help_text: str, *fields: str):
+    """Register a runner as subcommand ``name`` with the config fields it reads."""
+
+    def register(run):
+        run.help, run.fields = help_text, fields
+        RUNNERS[name] = run
+        return run
+
+    return register
 
 
 def _state_x0(config: ExperimentConfig, states: tuple, default):
@@ -149,6 +174,8 @@ def _check_batches(rejects: dict, reps: int, alpha: float, alt_floor: float) -> 
 # -- Bimodal rejection table ----------------------------------------------
 
 
+@_runner("bimodal-table", "rejection table for the bimodal chain",
+         "seed", "reps", "n_draws", "step", "alphas")
 def run_bimodal_table(config: ExperimentConfig) -> ExperimentResult:
     """Rejection percentages of the standard, parallel and permuted-serial
     tests on the bimodal chain, split by which mode the data sits near."""
@@ -171,8 +198,7 @@ def run_bimodal_table(config: ExperimentConfig) -> ExperimentResult:
         counts[cell] += 1
 
         iid_draws = states[target.sample_indices(rng, m)]
-        p_std = Fraction(int((iid_draws >= x0).sum()) + 1, m + 1)
-        if p_std <= alpha:
+        if p_mc(x0, iid_draws) <= alpha:
             hits["standard"][cell] += 1
 
         par = sample_parallel(pair, x0, m, rng)
@@ -223,17 +249,15 @@ def run_bimodal_table(config: ExperimentConfig) -> ExperimentResult:
                 violations.append(f"{meth} overall rate exceeds the validity bound")
 
     return ExperimentResult(
-        "bimodal-table",
-        ("sampler", "cell", "n", "reject_pct", "se_pct"),
-        rows,
-        config,
-        violations,
+        "bimodal-table", ("sampler", "cell", "n", "reject_pct", "se_pct"), rows, config, violations
     )
 
 
 # -- Limiting power of the parallel method ---------------------------------
 
 
+@_runner("power-curve", "limiting power of the parallel method on the AR chain",
+         "seed", "reps", "n_draws", "alphas", "rho", "mu", "step_max")
 def run_power_curve(config: ExperimentConfig) -> ExperimentResult:
     """Theoretical vs empirical power of the parallel method on the
     autoregressive chain, against a shifted-mean normal alternative.
@@ -269,17 +293,15 @@ def run_power_curve(config: ExperimentConfig) -> ExperimentResult:
                 if rho == 0.7 and step == config.step_max and abs(theoretical - optimal) > 0.01:
                     violations.append("rho=0.7 curve not within 0.01 of optimal power")
     return ExperimentResult(
-        "power-curve",
-        ("rho", "step", "theoretical", "empirical", "se"),
-        rows,
-        config,
-        violations,
+        "power-curve", ("rho", "step", "theoretical", "empirical", "se"), rows, config, violations
     )
 
 
 # -- Consistency of the permuted serial method -----------------------------
 
 
+@_runner("consistency", "|p_mc - p_A| against M for the bimodal chain",
+         "seed", "reps", "step", "x0", "m_values")
 def run_consistency(config: ExperimentConfig) -> ExperimentResult:
     """|p_mc - p_A| on the bimodal chain at fixed data, as M grows.
 
@@ -328,11 +350,7 @@ def run_consistency(config: ExperimentConfig) -> ExperimentResult:
                 f"only {improved}/{reps} paired repeats improved from M={m_small} to M={m_big}"
             )
     return ExperimentResult(
-        "consistency",
-        ("series", "rep", "m", "p_value", "abs_error"),
-        rows,
-        config,
-        violations,
+        "consistency", ("series", "rep", "m", "p_value", "abs_error"), rows, config, violations
     )
 
 
@@ -345,6 +363,8 @@ def _swap_chain_pair(step: int) -> KernelPair:
     )
 
 
+@_runner("matrix-gof", "margin-conditioned uniformity test for binary matrices",
+         "seed", "reps", "n_draws", "step", "alphas", "rows", "cols")
 def run_matrix_gof(config: ExperimentConfig) -> ExperimentResult:
     """Permuted-serial test of margin-conditioned uniformity.
 
@@ -388,17 +408,15 @@ def run_matrix_gof(config: ExperimentConfig) -> ExperimentResult:
 
     violations = _check_batches(rejects, reps, alpha, 0.5) if config.check else []
     return ExperimentResult(
-        "matrix-gof",
-        ("batch", "rep", "p_value", "reject"),
-        rows,
-        config,
-        violations,
+        "matrix-gof", ("batch", "rep", "p_value", "reject"), rows, config, violations
     )
 
 
 # -- Conditional permutation test demo -------------------------------------
 
 
+@_runner("cpt-demo", "conditional permutation test on synthetic data",
+         "seed", "reps", "n_draws", "step", "alphas", "n")
 def run_cpt_demo(config: ExperimentConfig) -> ExperimentResult:
     """Parallel-method conditional independence test on synthetic data.
 
@@ -440,17 +458,15 @@ def run_cpt_demo(config: ExperimentConfig) -> ExperimentResult:
 
     violations = _check_batches(rejects, reps, alpha, 0.9) if config.check else []
     return ExperimentResult(
-        "cpt-demo",
-        ("batch", "rep", "p_value", "reject"),
-        rows,
-        config,
-        violations,
+        "cpt-demo", ("batch", "rep", "p_value", "reject"), rows, config, violations
     )
 
 
 # -- Square-root correction for sequential sampling ------------------------
 
 
+@_runner("sqrt-eps", "sequential sampling with the sqrt(2p) correction",
+         "seed", "reps", "n_draws", "step", "alphas")
 def run_sqrt_epsilon_demo(config: ExperimentConfig) -> ExperimentResult:
     """Sequential sampling with the sqrt(2p) correction on the bimodal chain.
 
@@ -492,17 +508,14 @@ def run_sqrt_epsilon_demo(config: ExperimentConfig) -> ExperimentResult:
     if config.check and not monotone:
         violations.append("corrected p-value fell below the raw p-value")
     return ExperimentResult(
-        "sqrt-eps",
-        ("alpha", "raw_rate", "corrected_rate", "se"),
-        rows,
-        config,
-        violations,
+        "sqrt-eps", ("alpha", "raw_rate", "corrected_rate", "se"), rows, config, violations
     )
 
 
 # -- Limiting mixture atoms ------------------------------------------------
 
 
+@_runner("pinfty", "atoms of the limiting parallel-method p-value", "step", "x0", "chain")
 def run_pinfty(config: ExperimentConfig) -> ExperimentResult:
     """Atoms of the limiting parallel-method p-value for a fixture chain."""
     from . import fixtures
@@ -528,13 +541,3 @@ def run_pinfty(config: ExperimentConfig) -> ExperimentResult:
         "pinfty", ("atom", "value", "probability"), rows, config, []
     )
 
-
-RUNNERS = {
-    "bimodal-table": run_bimodal_table,
-    "power-curve": run_power_curve,
-    "consistency": run_consistency,
-    "matrix-gof": run_matrix_gof,
-    "cpt-demo": run_cpt_demo,
-    "sqrt-eps": run_sqrt_epsilon_demo,
-    "pinfty": run_pinfty,
-}

@@ -1,19 +1,23 @@
 """Experiment harness and command-line interface."""
 
 import csv
+import dataclasses
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import exmcmc
-from exmcmc.cli import main
+from exmcmc.cli import FLAGS, build_parser, main
 from exmcmc.errors import ConfigError, NotReversibleError
 from exmcmc.experiments import (
     RUNNERS,
     ExperimentConfig,
+    ExperimentResult,
     run_pinfty,
     run_power_curve,
 )
@@ -101,7 +105,7 @@ class TestCsvOutput:
         text = raw.decode("utf-8")
         lines = text.splitlines()
         assert lines[0].startswith("# exmcmc-v")
-        assert "seed=" in lines[0]
+        assert "chain=two-state" in lines[0]
         with open(out, newline="", encoding="utf-8") as handle:
             rows = list(csv.reader(handle))
         assert rows[1] == ["atom", "value", "probability"]
@@ -117,6 +121,42 @@ class TestCsvOutput:
         assert main(["pinfty", "--chain", "two-state"]) == 0
         captured = capsys.readouterr()
         assert "atom,value,probability" in captured.out
+
+    def test_stdout_matches_out_file(self, tmp_path, capsys):
+        out = tmp_path / "result.csv"
+        assert main(["pinfty", "--chain", "bimodal", "--out", str(out)]) == 0
+        assert main(["pinfty", "--chain", "bimodal"]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(RUNNERS))
+    def test_echo_names_exactly_the_fields_the_runner_reads(self, name):
+        handle = io.StringIO()
+        ExperimentResult(name, ("x",), [(1,)], ExperimentConfig()).write_csv(handle)
+        echo = handle.getvalue().splitlines()[0].split(" ")
+        assert echo[:4] == ["#", f"exmcmc-v{exmcmc.__version__}", name, f"numpy={np.__version__}"]
+        assert tuple(item.split("=")[0] for item in echo[4:]) == RUNNERS[name].fields
+        assert ("seed" in RUNNERS[name].fields) == (name != "pinfty")
+
+    def test_echo_joins_tuples_with_slashes(self):
+        handle = io.StringIO()
+        config = ExperimentConfig(m_values=(5, 10), x0=60)
+        ExperimentResult("consistency", ("x",), [], config).write_csv(handle)
+        assert " x0=60 m_values=5/10" in handle.getvalue().splitlines()[0]
+
+    def test_echo_tells_the_chains_apart(self, tmp_path):
+        echoes = []
+        for chain in ("two-state", "bimodal"):
+            out = tmp_path / f"{chain}.csv"
+            assert main(["pinfty", "--chain", chain, "--out", str(out)]) == 0
+            echoes.append(out.read_text(encoding="utf-8").splitlines()[0])
+        assert echoes[0] != echoes[1]
+        assert echoes[1].endswith(" chain=bimodal")
+
+    def test_every_recorded_field_is_a_flag_and_a_config_field(self):
+        config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert len(config_fields) == 15
+        for run in RUNNERS.values():
+            assert set(run.fields) <= set(FLAGS) & config_fields
 
 
 class TestExitCodes:
@@ -145,6 +185,13 @@ class TestExitCodes:
             (["cpt-demo", "--n", "1"], "n must be >= 3, got 1"),
             (["consistency", "--m-values", "0,5"], "m_values must all be >= 1, got (0, 5)"),
             (["sqrt-eps", "--alpha", ""], "alphas must not be empty"),
+            (["power-curve", "--rho="], "rho must not be empty"),
+            (["power-curve", "--rho", "0.5,-1"], "rho must lie in (-1, 1), got -1.0"),
+            (["power-curve", "--L-max", "0"], "L-max (step_max) must be >= 1, got 0"),
+            (["power-curve", "--L-max", "-2"], "L-max (step_max) must be >= 1, got -2"),
+            (["power-curve", "--mu", "nan"], "mu must be finite, got nan"),
+            (["power-curve", "--mu", "inf"], "mu must be finite, got inf"),
+            (["consistency", "--m-values="], "m_values must not be empty"),
         ],
     )
     def test_bad_config_field(self, argv, message, capsys):
@@ -163,11 +210,32 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("pinfty", "--seed"),
+            ("pinfty", "--reps"),
+            ("pinfty", "--M"),
+            ("consistency", "--M"),
+            ("power-curve", "--L"),
+        ],
+    )
+    def test_flag_the_runner_ignores_is_a_usage_error(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, "5"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(RUNNERS))
+    def test_every_subcommand_takes_check_and_out(self, command):
+        args = build_parser().parse_args([command, "--check", "--out", "x.csv"])
+        assert (args.check, args.out) == (True, "x.csv")
+
     def test_sqrt_eps_reports_every_alpha(self, capsys):
         argv = ["sqrt-eps", "--alpha", "0.01,0.05", "--reps", "5", "--M", "3", "--L", "2"]
         assert main(argv) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert [line.split(",")[0] for line in lines[1:3]] == ["0.01", "0.05"]
+        assert [line.split(",")[0] for line in lines[2:4]] == ["0.01", "0.05"]
 
     def test_x0_outside_bimodal_states(self, capsys):
         assert main(["consistency", "--x0", "500", "--reps", "1", "--m-values", "5"]) == 2

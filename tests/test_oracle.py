@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exmcmc import fixtures
 from exmcmc.chains import (
@@ -27,6 +29,7 @@ from exmcmc.oracle import (
 from exmcmc.pvalue import p_mc
 from exmcmc.rng import substream
 from exmcmc.samplers import (
+    MarkedTree,
     build_path_tree,
     build_split_star,
     build_star_tree,
@@ -34,6 +37,7 @@ from exmcmc.samplers import (
     sample_permuted_serial,
     sample_tree,
 )
+from test_kernel import random_chain, random_units
 
 
 def tv(law_a: JointLaw, law_b: JointLaw) -> float:
@@ -142,6 +146,34 @@ class TestTreeLaws:
         kernel, target = skewed_walk
         law = exact_joint(build_split_star(2, 1, 1), kernel, target)
         assert exchangeability_distance(law) <= 1e-12
+
+
+@st.composite
+def small_marked_trees(draw):
+    """A split star, or a random tree with random edge directions; at most 6
+    vertices and 2-4 marks."""
+    if draw(st.booleans()):
+        arms = draw(st.integers(1, 3))
+        per_arm = draw(st.integers(1, 3 // arms))
+        return build_split_star(arms, per_arm, draw(st.integers(1, 5 // (arms * per_arm))))
+    n = draw(st.integers(2, 6))
+    edges = []
+    for v in range(1, n):
+        u = draw(st.integers(0, v - 1))
+        edges.append((u, v) if draw(st.booleans()) else (v, u))
+    marks = draw(st.permutations(range(n)))[: draw(st.integers(2, min(4, n)))]
+    return MarkedTree(n, tuple(edges), tuple(marks))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=small_marked_trees(), units=random_units, step=st.integers(1, 2))
+def test_tree_method_is_exchangeable_on_random_chains(tree, units, step):
+    it = iter(units)
+    kernel, target = random_chain(
+        lambda shape: np.array([next(it) for _ in range(9)]).reshape(shape), 3
+    )
+    law = exact_joint(tree, kernel, target, step=step)
+    assert exchangeability_distance(law) <= 1e-12
 
 
 class TestSamplersMatchTheirLaws:
