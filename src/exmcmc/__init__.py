@@ -7,6 +7,8 @@ observed data point is exchangeable with the draws, which makes the
 resulting Monte Carlo p-value valid at every significance level.
 """
 
+__version__ = "0.1.0"
+
 from .chains import (
     Ar1Kernel,
     BinaryMatrix,
@@ -75,7 +77,5 @@ from .samplers import (
     sample_sequential,
     sample_tree,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

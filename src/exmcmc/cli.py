@@ -1,10 +1,11 @@
 """Command-line entry point for the experiment harness.
 
 A subcommand takes ``--out``, ``--check`` and the flags of the config fields
-its runner reads; any other flag is a usage error.  Exit codes: 0 on success,
-2 on usage and configuration errors and other package errors (such as a
-statistic that evaluates to NaN on the given data), 3 when ``--check`` is
-passed and an acceptance threshold is violated.
+its runner reads; any other flag is a usage error.  Runners always evaluate
+their acceptance thresholds; ``--check`` prints the violated ones to stderr.
+Exit codes: 0 on success, 2 on usage and configuration errors and other
+package errors (such as a statistic that evaluates to NaN on the given data),
+3 when ``--check`` is passed and an acceptance threshold is violated.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ def main(argv=None) -> int:
     args = vars(build_parser().parse_args(argv))
     run = RUNNERS[args.pop("command")]
     out = args.pop("out", None)
+    check = args.pop("check", False)
     try:
-        config = ExperimentConfig(**args)
-        result = run(config)
+        result = run(ExperimentConfig(**args))
     except (ExmcmcError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -77,11 +78,11 @@ def main(argv=None) -> int:
             result.write_csv(handle)
     else:
         result.write_csv(sys.stdout)
+    if not (check and result.violations):
+        return 0
     for violation in result.violations:
         print(f"check failed: {violation}", file=sys.stderr)
-    if config.check and result.violations:
-        return 3
-    return 0
+    return 3
 
 
 if __name__ == "__main__":

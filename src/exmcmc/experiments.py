@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__, fixtures
 from .chains import (
     Ar1Kernel,
     BinaryMatrix,
@@ -28,6 +30,7 @@ from .chains import (
 from .errors import ConfigError, NotReversibleError
 from .kernel import KernelPair
 from .pvalue import (
+    exact_level,
     normal_cdf,
     normal_quantile,
     p_analytic,
@@ -49,7 +52,8 @@ DEFAULT_CPT_BETA = 1.0
 
 @dataclass
 class ExperimentConfig:
-    """Shared configuration; each runner reads the fields it is registered with."""
+    """Shared configuration; each runner reads the fields it is registered with
+    and always reports its failed acceptance gates in ``ExperimentResult.violations``."""
 
     seed: int = 20250824
     reps: int | None = None
@@ -65,9 +69,10 @@ class ExperimentConfig:
     cols: int = 12
     n: int = 40
     chain: str = "two-state"
-    check: bool = False
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.reps is not None and self.reps < 1:
             raise ConfigError("reps must be >= 1")
         if self.n_draws is not None and self.n_draws < 1:
@@ -96,6 +101,8 @@ class ExperimentConfig:
             raise ConfigError("m_values must not be empty")
         if any(m < 1 for m in self.m_values):
             raise ConfigError(f"m_values must all be >= 1, got {self.m_values}")
+        if len(set(self.m_values)) != len(self.m_values):
+            raise ConfigError(f"m_values must be distinct, got {self.m_values}")
 
 
 @dataclass
@@ -108,9 +115,6 @@ class ExperimentResult:
 
     def write_csv(self, handle) -> None:
         """Write the config echo (versions and each field the runner reads), header and rows."""
-        # The package sets __version__ only after it imports this module.
-        from . import __version__
-
         echo = [f"# exmcmc-v{__version__}", self.name, f"numpy={np.__version__}"]
         for name in RUNNERS[self.name].fields:
             value = getattr(self.config, name)
@@ -148,11 +152,11 @@ def _state_x0(config: ExperimentConfig, states: tuple, default):
     return int(x0)
 
 
-def _one_alpha(config: ExperimentConfig, runner: str) -> float:
-    """The level of a runner that reports at one significance level only."""
+def _one_alpha(config: ExperimentConfig, runner: str) -> tuple:
+    """The one level of a single-level runner, as a float and as its :func:`exact_level`."""
     if len(config.alphas) > 1:
         raise ConfigError(f"{runner} takes a single alpha level, got {config.alphas}")
-    return config.alphas[0]
+    return config.alphas[0], exact_level(config.alphas[0])
 
 
 def _binomial_se(rate: float, count: int) -> float:
@@ -180,7 +184,7 @@ def run_bimodal_table(config: ExperimentConfig) -> ExperimentResult:
     """Rejection percentages of the standard, parallel and permuted-serial
     tests on the bimodal chain, split by which mode the data sits near."""
     reps = config.reps or 2500
-    alpha = _one_alpha(config, "bimodal-table")
+    alpha, level = _one_alpha(config, "bimodal-table")
     target = bimodal_target()
     kernel = mh_pm1_kernel(target)
     pair = KernelPair.from_discrete(kernel, target, config.step or 100)
@@ -188,26 +192,23 @@ def run_bimodal_table(config: ExperimentConfig) -> ExperimentResult:
     m = config.n_draws or 99
 
     methods = ("standard", "parallel", "permuted_serial")
-    hits = {meth: {"low": 0, "high": 0} for meth in methods}
-    counts = {"low": 0, "high": 0}
+    hits = Counter()
+    counts = Counter(overall=reps)
 
     for rep in range(reps):
         rng = substream(config.seed, rep)
         x0 = target.sample(rng)
         cell = "low" if x0 <= 50 else "high"
         counts[cell] += 1
-
-        iid_draws = states[target.sample_indices(rng, m)]
-        if p_mc(x0, iid_draws) <= alpha:
-            hits["standard"][cell] += 1
-
-        par = sample_parallel(pair, x0, m, rng)
-        if p_mc(x0, par.draws) <= alpha:
-            hits["parallel"][cell] += 1
-
-        ser = sample_permuted_serial(pair, x0, m, rng)
-        if p_mc(x0, ser.draws) <= alpha:
-            hits["permuted_serial"][cell] += 1
+        batches = (
+            states[target.sample_indices(rng, m)],
+            sample_parallel(pair, x0, m, rng).draws,
+            sample_permuted_serial(pair, x0, m, rng).draws,
+        )
+        for meth, draws in zip(methods, batches):
+            if p_mc(x0, draws) <= level:
+                hits[meth, cell] += 1
+                hits[meth, "overall"] += 1
 
     # Cell percentages are fractions of all replications (the two cells sum
     # to the overall row), matching how the table is usually reported.
@@ -215,38 +216,31 @@ def run_bimodal_table(config: ExperimentConfig) -> ExperimentResult:
     pct = {}
     for meth in methods:
         for cell in ("low", "high", "overall"):
-            if cell == "overall":
-                n_cell = reps
-                n_hit = hits[meth]["low"] + hits[meth]["high"]
-            else:
-                n_cell = counts[cell]
-                n_hit = hits[meth][cell]
-            rate = n_hit / reps
+            rate = hits[meth, cell] / reps
             pct[(meth, cell)] = 100.0 * rate
             rows.append(
-                (meth, cell, n_cell, round(100.0 * rate, 3), round(100.0 * _binomial_se(rate, reps), 3))
+                (meth, cell, counts[cell], round(100.0 * rate, 3), round(100.0 * _binomial_se(rate, reps), 3))
             )
 
     violations = []
-    if config.check:
-        window = 1.5  # percentage points
-        targets = {
-            ("standard", "overall"): 4.4,
-            ("parallel", "low"): 2.4,
-            ("parallel", "high"): 2.2,
-            ("permuted_serial", "low"): 2.6,
-            ("permuted_serial", "high"): 2.0,
-        }
-        if pct[("standard", "low")] != 0.0:
-            violations.append("standard sampler rejected in the low cell")
-        for key, expected in targets.items():
-            if abs(pct[key] - expected) > window:
-                violations.append(
-                    f"{key[0]}/{key[1]} = {pct[key]:.2f}%, expected {expected}% +- {window}"
-                )
-        for meth in methods:
-            if pct[(meth, "overall")] > 100 * alpha + window:
-                violations.append(f"{meth} overall rate exceeds the validity bound")
+    window = 1.5  # percentage points
+    targets = {
+        ("standard", "overall"): 4.4,
+        ("parallel", "low"): 2.4,
+        ("parallel", "high"): 2.2,
+        ("permuted_serial", "low"): 2.6,
+        ("permuted_serial", "high"): 2.0,
+    }
+    if pct[("standard", "low")] != 0.0:
+        violations.append("standard sampler rejected in the low cell")
+    for key, expected in targets.items():
+        if abs(pct[key] - expected) > window:
+            violations.append(
+                f"{key[0]}/{key[1]} = {pct[key]:.2f}%, expected {expected}% +- {window}"
+            )
+    for meth in methods:
+        if pct[(meth, "overall")] > 100 * alpha + window:
+            violations.append(f"{meth} overall rate exceeds the validity bound")
 
     return ExperimentResult(
         "bimodal-table", ("sampler", "cell", "n", "reject_pct", "se_pct"), rows, config, violations
@@ -268,10 +262,11 @@ def run_power_curve(config: ExperimentConfig) -> ExperimentResult:
     """
     reps = config.reps or 2000
     m = config.n_draws or 2000
-    alpha = _one_alpha(config, "power-curve")
+    alpha, level = _one_alpha(config, "power-curve")
     rows = []
     violations = []
     optimal = 1.0 - normal_cdf(normal_quantile(1.0 - alpha) - config.mu)
+    max_count = math.floor(level * (m + 1))
     for i_rho, rho in enumerate(config.rho):
         kernel = Ar1Kernel(rho)
         for step in range(1, config.step_max + 1):
@@ -281,17 +276,16 @@ def run_power_curve(config: ExperimentConfig) -> ExperimentResult:
             hub = kernel.spokes(x0, reps, step, rng)
             spokes = kernel.spokes(hub[:, None], (reps, m), step, rng)
             counts = (spokes >= x0[:, None]).sum(axis=1)
-            reject = (counts + 1) <= alpha * (m + 1)
+            reject = (counts + 1) <= max_count
             empirical = float(reject.mean())
             se = _binomial_se(empirical, reps)
             rows.append((rho, step, round(theoretical, 6), round(empirical, 6), round(se, 6)))
-            if config.check:
-                if abs(empirical - theoretical) > 0.02:
-                    violations.append(
-                        f"rho={rho} L={step}: |{empirical:.4f} - {theoretical:.4f}| > 0.02"
-                    )
-                if rho == 0.7 and step == config.step_max and abs(theoretical - optimal) > 0.01:
-                    violations.append("rho=0.7 curve not within 0.01 of optimal power")
+            if abs(empirical - theoretical) > 0.02:
+                violations.append(
+                    f"rho={rho} L={step}: |{empirical:.4f} - {theoretical:.4f}| > 0.02"
+                )
+            if rho == 0.7 and step == config.step_max and abs(theoretical - optimal) > 0.01:
+                violations.append("rho=0.7 curve not within 0.01 of optimal power")
     return ExperimentResult(
         "power-curve", ("rho", "step", "theoretical", "empirical", "se"), rows, config, violations
     )
@@ -316,39 +310,35 @@ def run_consistency(config: ExperimentConfig) -> ExperimentResult:
     p_a = p_analytic(target, lambda s: s, x0)
 
     rows = []
-    errors = {("permuted_serial", m): [] for m in config.m_values}
+    errors = {}
     for rep in range(reps):
         for m in config.m_values:
             rng = substream(config.seed, rep, m)
-            ser = sample_permuted_serial(pair, x0, m, rng)
-            p = float(p_mc(x0, ser.draws))
-            err = abs(p - p_a)
-            errors[("permuted_serial", m)].append(err)
-            rows.append(("permuted_serial", rep, m, round(p, 6), round(err, 6)))
-
-            par = sample_parallel(pair, x0, m, rng)
-            p_par = float(p_mc(x0, par.draws))
-            rows.append(("parallel", rep, m, round(p_par, 6), round(abs(p_par - p_a), 6)))
+            for series, sample in (
+                ("permuted_serial", sample_permuted_serial), ("parallel", sample_parallel)
+            ):
+                p = float(p_mc(x0, sample(pair, x0, m, rng).draws))
+                errors.setdefault((series, m), []).append(abs(p - p_a))
+                rows.append((series, rep, m, round(p, 6), round(abs(p - p_a), 6)))
 
     atoms = p_infinity_discrete(pair, lambda s: s, x0)
     for i, (value, prob) in enumerate(zip(atoms.values, atoms.probs)):
         rows.append(("pinfty_atom", i, "", round(value, 9), round(prob, 9)))
 
     violations = []
-    if config.check:
-        m_small, m_big = min(config.m_values), max(config.m_values)
-        big = errors[("permuted_serial", m_big)]
-        small = errors[("permuted_serial", m_small)]
-        within = sum(1 for e in big if e <= 0.02)
-        if within < 0.95 * reps:
-            violations.append(
-                f"only {within}/{reps} repeats had |p_mc - p_A| <= 0.02 at M={m_big}"
-            )
-        improved = sum(1 for a, b in zip(big, small) if a < b)
-        if improved < 0.95 * reps:
-            violations.append(
-                f"only {improved}/{reps} paired repeats improved from M={m_small} to M={m_big}"
-            )
+    m_small, m_big = min(config.m_values), max(config.m_values)
+    big = errors[("permuted_serial", m_big)]
+    small = errors[("permuted_serial", m_small)]
+    within = sum(1 for e in big if e <= 0.02)
+    if within < 0.95 * reps:
+        violations.append(
+            f"only {within}/{reps} repeats had |p_mc - p_A| <= 0.02 at M={m_big}"
+        )
+    improved = sum(1 for a, b in zip(big, small) if a < b)
+    if improved < 0.95 * reps:
+        violations.append(
+            f"only {improved}/{reps} paired repeats improved from M={m_small} to M={m_big}"
+        )
     return ExperimentResult(
         "consistency", ("series", "rep", "m", "p_value", "abs_error"), rows, config, violations
     )
@@ -373,7 +363,7 @@ def run_matrix_gof(config: ExperimentConfig) -> ExperimentResult:
     does not).  The alternative batch plants a column-pair association.
     """
     reps = config.reps or 500
-    alpha = _one_alpha(config, "matrix-gof")
+    alpha, level = _one_alpha(config, "matrix-gof")
     step = config.step or 50
     m = config.n_draws or 99
     pair = _swap_chain_pair(step)
@@ -389,8 +379,8 @@ def run_matrix_gof(config: ExperimentConfig) -> ExperimentResult:
     def test(batch: str, rep: int, x0: BinaryMatrix, rng: np.random.Generator) -> None:
         ser = sample_permuted_serial(pair, x0, m, rng)
         p = p_mc(association_statistic(x0), [association_statistic(d) for d in ser.draws])
-        rejects[batch] += p <= alpha
-        rows.append((batch, rep, float(p), int(p <= alpha)))
+        rejects[batch] += p <= level
+        rows.append((batch, rep, float(p), int(p <= level)))
 
     for rep in range(reps):
         current = thinning.super_forward(current, gen_rng)
@@ -406,7 +396,7 @@ def run_matrix_gof(config: ExperimentConfig) -> ExperimentResult:
             grid[copy_mask, col] = grid[copy_mask, 0]
         test("alternative", rep, BinaryMatrix(grid), rng)
 
-    violations = _check_batches(rejects, reps, alpha, 0.5) if config.check else []
+    violations = _check_batches(rejects, reps, alpha, 0.5)
     return ExperimentResult(
         "matrix-gof", ("batch", "rep", "p_value", "reject"), rows, config, violations
     )
@@ -425,7 +415,7 @@ def run_cpt_demo(config: ExperimentConfig) -> ExperimentResult:
     permutation chain.
     """
     reps = config.reps or 500
-    alpha = _one_alpha(config, "cpt-demo")
+    alpha, level = _one_alpha(config, "cpt-demo")
     n = config.n
     step = config.step or 2 * n
     m = config.n_draws or 99
@@ -452,11 +442,11 @@ def run_cpt_demo(config: ExperimentConfig) -> ExperimentResult:
             pair = cpt_pair(q_log, step)
             par = sample_parallel(pair, s0, m, rng)
             p = p_mc(statistic(s0), [statistic(d) for d in par.draws])
-            reject = p <= alpha
+            reject = p <= level
             rejects[batch] += reject
             rows.append((batch, rep, float(p), int(reject)))
 
-    violations = _check_batches(rejects, reps, alpha, 0.9) if config.check else []
+    violations = _check_batches(rejects, reps, alpha, 0.9)
     return ExperimentResult(
         "cpt-demo", ("batch", "rep", "p_value", "reject"), rows, config, violations
     )
@@ -481,8 +471,8 @@ def run_sqrt_epsilon_demo(config: ExperimentConfig) -> ExperimentResult:
         raise NotReversibleError("the sqrt-epsilon correction requires a reversible kernel")
     m = config.n_draws or 99
 
-    raw_hits = {a: 0 for a in config.alphas}
-    corrected_hits = {a: 0 for a in config.alphas}
+    levels = {a: exact_level(a) for a in config.alphas}
+    hits = Counter()  # (alpha, "raw" or "corrected") -> rejections
     monotone = True
     for rep in range(reps):
         rng = substream(config.seed, rep)
@@ -492,20 +482,20 @@ def run_sqrt_epsilon_demo(config: ExperimentConfig) -> ExperimentResult:
         corrected = sqrt_epsilon(raw)
         if corrected < float(raw):
             monotone = False
-        for a in config.alphas:
-            raw_hits[a] += raw <= a
-            corrected_hits[a] += corrected <= a
+        for a, level in levels.items():
+            hits[a, "raw"] += raw <= level
+            hits[a, "corrected"] += corrected <= level
 
     rows = []
     violations = []
     for a in config.alphas:
-        raw_rate = raw_hits[a] / reps
-        corr_rate = corrected_hits[a] / reps
+        raw_rate = hits[a, "raw"] / reps
+        corr_rate = hits[a, "corrected"] / reps
         rows.append((a, round(raw_rate, 6), round(corr_rate, 6), round(_binomial_se(corr_rate, reps), 6)))
-        if config.check and corr_rate > a + 3 * _binomial_se(a, reps):
+        if corr_rate > a + 3 * _binomial_se(a, reps):
             violations.append(f"corrected rate {corr_rate:.4f} exceeds the bound at alpha={a}")
     rows.append(("corrected_ge_raw", int(monotone), "", ""))
-    if config.check and not monotone:
+    if not monotone:
         violations.append("corrected p-value fell below the raw p-value")
     return ExperimentResult(
         "sqrt-eps", ("alpha", "raw_rate", "corrected_rate", "se"), rows, config, violations
@@ -518,8 +508,6 @@ def run_sqrt_epsilon_demo(config: ExperimentConfig) -> ExperimentResult:
 @_runner("pinfty", "atoms of the limiting parallel-method p-value", "step", "x0", "chain")
 def run_pinfty(config: ExperimentConfig) -> ExperimentResult:
     """Atoms of the limiting parallel-method p-value for a fixture chain."""
-    from . import fixtures
-
     if config.chain == "two-state":
         kernel, target = fixtures.two_state()
         x0 = _state_x0(config, kernel.states, 1)

@@ -20,7 +20,6 @@ from .errors import (
     DimensionMismatchError,
     ReversalUndefinedError,
     StationarityViolationError,
-    UnsupportedRepresentationError,
 )
 
 # Tolerance for exact algebraic identities on matrices; accumulation through
@@ -117,13 +116,10 @@ class DiscreteKernel:
             self._cums[steps] = _pinned_cumsum(self.power(steps))
         return self._cums[steps]
 
-    def step_index(self, i: int, rng: np.random.Generator, steps: int = 1) -> int:
-        """One draw from the ``steps``-step law started at state index ``i``."""
-        cum = self._cumulative(steps)
-        return int(np.searchsorted(cum[i], rng.random(), side="right"))
-
     def step(self, state, rng: np.random.Generator, steps: int = 1):
-        return self.states[self.step_index(self._index[state], rng, steps)]
+        """One draw from the ``steps``-step law started at ``state``."""
+        row = self._cumulative(steps)[self._index[state]]
+        return self.states[int(np.searchsorted(row, rng.random(), side="right"))]
 
     def spokes(self, state, n: int, steps: int, rng: np.random.Generator) -> list:
         """``n`` independent ``steps``-step draws from ``state``, as a list.
@@ -234,13 +230,6 @@ class KernelPair:
             reverse_kernel=rev,
             spokes=kernel.spokes,
         )
-
-    def require_discrete(self) -> DiscreteKernel:
-        if self.forward_kernel is None:
-            raise UnsupportedRepresentationError(
-                "operation requires a matrix-backed kernel"
-            )
-        return self.forward_kernel
 
     def super_forward(self, state, rng: np.random.Generator):
         if self.forward_kernel is not None:

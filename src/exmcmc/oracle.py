@@ -19,6 +19,7 @@ import numpy as np
 from .chains import BinaryMatrix
 from .errors import TractabilityError
 from .kernel import DiscreteDistribution, DiscreteKernel, reversal
+from .pvalue import exact_level
 from .samplers import MarkedTree
 
 MAX_TUPLES = 1_000_000
@@ -213,9 +214,7 @@ def exact_rejection_probability(
     if alpha >= 1:
         return 1.0
     m1 = law.n_draws + 1
-    alpha_frac = Fraction(alpha).limit_denominator(10**12) if not isinstance(
-        alpha, Fraction
-    ) else alpha
+    alpha_frac = exact_level(alpha)
     total = 0.0
     for t, mass in zip(law.support, law.mass):
         t0 = statistic(t[0])

@@ -39,6 +39,11 @@ def p_mc(t0: float, t_draws: Sequence[float]) -> Fraction:
     return Fraction(count + 1, len(t_draws) + 1)
 
 
+def exact_level(alpha) -> Fraction:
+    """``alpha`` as written, for every ``p <= alpha``: the float 0.3 lies below 3/10."""
+    return Fraction(alpha).limit_denominator(10**12)
+
+
 def p_mc_randomized(
     t0: float, t_draws: Sequence[float], rng: np.random.Generator
 ) -> Fraction:
@@ -75,7 +80,6 @@ def sqrt_epsilon(p) -> float:
     Makes a single sequential run of a reversible chain yield a valid
     p-value.
     """
-    p = Fraction(p) if not isinstance(p, Fraction) else p
     if not 0 < p <= 1:
         raise ValueError("p must lie in (0, 1]")
     return min(1.0, math.sqrt(2 * float(p)))
@@ -103,9 +107,6 @@ class AtomLaw:
         if abs(sum(self.probs) - 1.0) > 1e-12:
             raise ValueError("atom probabilities must sum to 1")
 
-    def mean(self) -> float:
-        return float(sum(v * p for v, p in zip(self.values, self.probs)))
-
 
 def p_infinity_discrete(
     pair: KernelPair, statistic: Callable[[object], float], x0
@@ -116,7 +117,9 @@ def p_infinity_discrete(
     limit value is the L-step forward mass of ``{T >= T(x0)}`` from ``s``,
     weighted by the reverse L-step probability of ``s``.
     """
-    kernel = pair.require_discrete()
+    kernel = pair.forward_kernel
+    if kernel is None:
+        raise UnsupportedRepresentationError("operation requires a matrix-backed kernel")
     rev = pair.reverse_kernel
     L = pair.step_size
     fwd = kernel.power(L)

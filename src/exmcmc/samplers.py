@@ -174,7 +174,7 @@ def sample_parallel(
     reaches the unmarked hub, and one forward super-step out along each
     other arm gives a draw.
     """
-    tree = _star_tree(n_draws, 1)
+    tree = build_star_tree(n_draws, 1)
     return replace(sample_tree(pair, x0, tree, rng), method="parallel")
 
 
@@ -187,7 +187,7 @@ def sample_permuted_serial(
     ``m* = sigma(0)`` of the chain, and draw i is the chain state at position
     sigma(i).
     """
-    tree = _path_tree(n_draws, 1)
+    tree = build_path_tree(n_draws, 1)
     return replace(sample_tree(pair, x0, tree, rng), method="permuted_serial")
 
 
@@ -241,39 +241,29 @@ def sample_tree(
     )
 
 
+@lru_cache(maxsize=64)
 def build_path_tree(n_draws: int, step: int) -> MarkedTree:
     """Path of M+1 marked vertices with L-1 unmarked vertices between marks.
 
     The tree method on this tree has the same law as the permuted serial
     method with step size L.
     """
-    if n_draws < 1 or step < 1:
-        raise ValueError("n_draws and step must be >= 1")
-    return _path_tree(n_draws, step)
-
-
-@lru_cache(maxsize=64)
-def _path_tree(n_draws: int, step: int) -> MarkedTree:
+    if n_draws < 0 or step < 1:
+        raise ValueError("n_draws must be >= 0 and step >= 1")
     total = n_draws * step + 1
     edges = tuple((i, i + 1) for i in range(total - 1))
     marks = tuple(i * step for i in range(n_draws + 1))
     return MarkedTree(total, edges, marks)
 
 
+@lru_cache(maxsize=64)
 def build_star_tree(n_draws: int, step: int) -> MarkedTree:
     """Unmarked hub with M+1 arms of L edges each; arm ends are marked.
 
     One arm hosts the observed point, giving the same law as the parallel
     method with step size L.
     """
-    if n_draws < 1 or step < 1:
-        raise ValueError("n_draws and step must be >= 1")
-    return _star_tree(n_draws, step)
-
-
-@lru_cache(maxsize=64)
-def _star_tree(n_draws: int, step: int) -> MarkedTree:
-    # A split star of one-mark arms, without the hub's mark.
+    # A split star of one-mark arms, without the hub's mark; it checks M >= 0 and L >= 1.
     split = build_split_star(n_draws + 1, 1, step)
     return MarkedTree(split.vertex_count, split.edges, split.marks[1:])
 

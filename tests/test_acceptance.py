@@ -88,7 +88,7 @@ def test_criterion_02_sequential_invalidity():
 
 def test_criterion_03_bimodal_table():
     """2500-replication rejection table matches the reference percentages."""
-    result = run_bimodal_table(ExperimentConfig(check=True))
+    result = run_bimodal_table(ExperimentConfig())
     _report(
         3,
         "bimodal rejection table within 1.5 pp of reference cells",
@@ -99,7 +99,7 @@ def test_criterion_03_bimodal_table():
 
 def test_criterion_04_power_curve():
     """Empirical parallel-method power tracks the closed form on the AR grid."""
-    result = run_power_curve(ExperimentConfig(check=True))
+    result = run_power_curve(ExperimentConfig())
     _report(
         4,
         "power curve within 0.02 of theory; rho=0.7 reaches optimal by L=10",
@@ -110,7 +110,7 @@ def test_criterion_04_power_curve():
 
 def test_criterion_05_consistency():
     """Permuted-serial p-values converge to the analytic p-value in M."""
-    result = run_consistency(ExperimentConfig(check=True))
+    result = run_consistency(ExperimentConfig())
     _report(
         5,
         "permuted serial |p_mc - p_A| <= 0.02 at M=5000 and improves over M=100",
@@ -245,7 +245,7 @@ def test_criterion_09_cpt_kernel():
 def test_criterion_10_sqrt_epsilon_validity():
     """The square-root correction restores validity for sequential sampling."""
     result = run_sqrt_epsilon_demo(
-        ExperimentConfig(alphas=(0.01, 0.05, 0.1), check=True)
+        ExperimentConfig(alphas=(0.01, 0.05, 0.1))
     )
     monotone_row = result.rows[-1]
     ok = not result.violations and monotone_row[1] == 1

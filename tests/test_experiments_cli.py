@@ -18,6 +18,7 @@ from exmcmc.experiments import (
     RUNNERS,
     ExperimentConfig,
     ExperimentResult,
+    run_consistency,
     run_pinfty,
     run_power_curve,
 )
@@ -49,6 +50,15 @@ class TestConfig:
             ExperimentConfig(alphas=())
 
 
+# Two repeats at one M: the consistency gates (95 % within 0.02, and paired
+# improvement from the smallest to the largest M) cannot hold.
+FAILING_GATES = ["consistency", "--reps", "2", "--m-values", "5"]
+FAILED_GATE_MESSAGES = [
+    "only 0/2 repeats had |p_mc - p_A| <= 0.02 at M=5",
+    "only 0/2 paired repeats improved from M=5 to M=5",
+]
+
+
 class TestRunners:
     def test_all_subcommands_have_runners(self):
         assert set(RUNNERS) == {
@@ -71,6 +81,25 @@ class TestRunners:
         a = run_power_curve(ExperimentConfig(reps=20, step_max=2))
         b = run_power_curve(ExperimentConfig(reps=20, step_max=2, seed=1))
         assert a.rows != b.rows
+
+    def test_runner_reports_failed_gates_without_being_asked(self):
+        result = run_consistency(ExperimentConfig(reps=2, m_values=(5,)))
+        assert result.violations == FAILED_GATE_MESSAGES
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cpt-demo", "--reps", "20", "--n", "10", "--L", "20"],
+            ["matrix-gof", "--reps", "20", "--rows", "5", "--cols", "4", "--L", "5"],
+        ],
+    )
+    def test_reject_reads_alpha_as_written(self, argv, capsys):
+        """p = 3/10 is rejected at alpha = 0.3, although the float 0.3 lies below 3/10."""
+        assert main(argv + ["--alpha", "0.3", "--M", "9"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()[1:]))
+        assert any(float(row["p_value"]) == 0.3 for row in rows)
+        for row in rows:
+            assert row["reject"] == str(int(float(row["p_value"]) <= 0.3))
 
     def test_pinfty_two_state(self):
         result = run_pinfty(ExperimentConfig(chain="two-state", x0=1, step=1))
@@ -154,7 +183,7 @@ class TestCsvOutput:
 
     def test_every_recorded_field_is_a_flag_and_a_config_field(self):
         config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        assert len(config_fields) == 15
+        assert len(config_fields) == 14
         for run in RUNNERS.values():
             assert set(run.fields) <= set(FLAGS) & config_fields
 
@@ -192,6 +221,8 @@ class TestExitCodes:
             (["power-curve", "--mu", "nan"], "mu must be finite, got nan"),
             (["power-curve", "--mu", "inf"], "mu must be finite, got inf"),
             (["consistency", "--m-values="], "m_values must not be empty"),
+            (["cpt-demo", "--seed", "-1"], "seed must be >= 0"),
+            (["consistency", "--m-values", "5,5"], "m_values must be distinct, got (5, 5)"),
         ],
     )
     def test_bad_config_field(self, argv, message, capsys):
@@ -274,7 +305,7 @@ class TestExitCodes:
         assert code == 3
         assert "check failed" in capsys.readouterr().err
 
-    def test_check_not_requested_still_succeeds(self, tmp_path):
+    def test_check_not_requested_still_succeeds(self, tmp_path, capsys):
         code = main(
             [
                 "power-curve",
@@ -289,6 +320,12 @@ class TestExitCodes:
             ]
         )
         assert code == 0
+        assert capsys.readouterr().err == ""  # the failed gates are not printed
+
+    def test_failed_gates_with_check_exit_3_naming_each(self, tmp_path, capsys):
+        assert main(FAILING_GATES + ["--check", "--out", str(tmp_path / "x.csv")]) == 3
+        expected = "".join(f"check failed: {message}\n" for message in FAILED_GATE_MESSAGES)
+        assert capsys.readouterr().err == expected
 
     def test_console_entry_point(self, tmp_path):
         # The child interpreter imports the package under test, also from an

@@ -21,6 +21,7 @@ from exmcmc.kernel import (
     is_stationary,
     reversal,
 )
+from exmcmc.pvalue import p_infinity_discrete
 
 EXACT = 1e-12
 
@@ -99,7 +100,7 @@ class TestDiscreteKernel:
         start = 1  # state 'b' has three distinct successor masses
         counts = np.zeros(3)
         for _ in range(n):
-            counts[kernel.step_index(start, rng)] += 1
+            counts[kernel.index(kernel.step(kernel.states[start], rng))] += 1
         for j in range(3):
             p = kernel.matrix[start, j]
             se = np.sqrt(p * (1 - p) / n)
@@ -232,9 +233,10 @@ class TestKernelPair:
         assert pair.forward_kernel is None
 
     def test_require_discrete_rejects_callables(self, rng):
+        """A matrix-only operation on a callable pair names the representation."""
         pair = KernelPair(lambda s, r: s, lambda s, r: s)
         with pytest.raises(UnsupportedRepresentationError):
-            pair.require_discrete()
+            p_infinity_discrete(pair, lambda s: 0.0, 0)
 
     def test_step_size_must_be_positive(self):
         with pytest.raises(ValueError):

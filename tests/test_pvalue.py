@@ -13,6 +13,7 @@ from exmcmc.errors import InvalidStatisticError, UnsupportedRepresentationError
 from exmcmc.kernel import DiscreteDistribution, KernelPair
 from exmcmc.pvalue import (
     AtomLaw,
+    exact_level,
     normal_cdf,
     normal_quantile,
     p_analytic,
@@ -72,6 +73,14 @@ class TestPMc:
     def test_randomized_tie_free_equals_deterministic(self, rng):
         draws = [1.0, 2.0, 3.0]
         assert p_mc_randomized(2.5, draws, rng) == p_mc(2.5, draws)
+
+
+class TestExactLevel:
+    def test_reads_the_level_as_written(self):
+        assert Fraction(3, 10) > 0.3  # the float lies below its decimal
+        assert exact_level(0.3) == Fraction(3, 10)
+        assert exact_level(0.05) == Fraction(1, 20)
+        assert exact_level(Fraction(1, 7)) == Fraction(1, 7)
 
 
 class TestPAnalytic:

@@ -70,6 +70,9 @@ class TestTreeBuilders:
         assert tree.n_draws == 3
         assert tree.marks == (0, 2, 4, 6)
         assert tree.edges == tuple((i, i + 1) for i in range(6))
+        # M = 0: the bare mark
+        tree = build_path_tree(0, 2)
+        assert (tree.vertex_count, tree.edges, tree.marks) == (1, (), (0,))
 
     def test_star_tree_shape(self):
         tree = build_star_tree(3, 1)
@@ -83,6 +86,9 @@ class TestTreeBuilders:
         tree = build_star_tree(2, 3)
         assert tree.vertex_count == 1 + 3 * 3
         assert tree.n_draws == 2
+        # M = 0: the hub and one arm
+        tree = build_star_tree(0, 2)
+        assert (tree.vertex_count, tree.edges, tree.marks) == (3, ((0, 1), (1, 2)), (2,))
 
     def test_split_star_shape(self):
         tree = build_split_star(2, 2, 1)
@@ -93,7 +99,9 @@ class TestTreeBuilders:
 
     def test_builders_reject_bad_sizes(self):
         with pytest.raises(ValueError):
-            build_path_tree(0, 1)
+            build_path_tree(-1, 1)
+        with pytest.raises(ValueError):
+            build_star_tree(-1, 1)
         with pytest.raises(ValueError):
             build_star_tree(1, 0)
         with pytest.raises(ValueError):
@@ -137,12 +145,15 @@ class TestSampleSets:
         [(sample_parallel, build_star_tree), (sample_permuted_serial, build_path_tree)],
     )
     def test_parallel_and_serial_are_star_and_path_trees(self, sampler, build):
-        """Same stream, same draws: each is the tree method on its tree."""
+        """Same stream, same draws: each is the tree method on its tree, also at M = 0."""
         pair = KernelPair(lambda s, r: s + r.random(), lambda s, r: s - r.random(), 3)
-        for seed in range(20):
-            a = sampler(pair, 0.0, 6, substream(5, seed))
-            b = sample_tree(pair, 0.0, build(6, 1), substream(5, seed))
-            assert a.draws == b.draws and a.sigma == b.sigma
+        for m in (6, 0):
+            for seed in range(20):
+                rng_a, rng_b = substream(5, seed), substream(5, seed)
+                a = sampler(pair, 0.0, m, rng_a)
+                b = sample_tree(pair, 0.0, build(m, 1), rng_b)
+                assert a.draws == b.draws and a.sigma == b.sigma
+                assert rng_a.random() == rng_b.random()
 
     def test_tree_sampler_runs_every_tree(self, skewed_pair, rng):
         for tree in (build_path_tree(3, 1), build_star_tree(3, 1), build_split_star(2, 1, 1)):
