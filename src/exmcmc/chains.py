@@ -160,6 +160,45 @@ def checkerboard_swap_step(m: BinaryMatrix, rng: np.random.Generator) -> BinaryM
     return m
 
 
+def checkerboard_swap_run(m: BinaryMatrix, steps: int, rng: np.random.Generator) -> BinaryMatrix:
+    """``steps`` calls of :func:`checkerboard_swap_step`, batched.
+
+    One ``rng.integers(n_proposals, size=steps)`` call gives the codes of
+    ``steps`` scalar calls and leaves ``rng`` where they leave it.  Swaps act
+    on one flat copy; like the step's, the result owns its entries (a view
+    on the copy held more memory), and is ``m`` when no swap was accepted.
+    """
+    rows, cols = m.entries.shape
+    n_proposals = rows * (rows - 1) * cols * (cols - 1)
+    if n_proposals == 0:
+        return m
+    flat = bytearray(m.entries.tobytes())
+    moved = False
+    for code in rng.integers(n_proposals, size=steps).tolist():
+        code, l = divmod(code, cols - 1)
+        code, k = divmod(code, cols)
+        i, j = divmod(code, rows - 1)
+        if j >= i:
+            j += 1
+        if l >= k:
+            l += 1
+        i, j = i * cols, j * cols
+        a, b = flat[i + k], flat[i + l]
+        if a != b and flat[j + k] == b and flat[j + l] == a:
+            flat[i + k], flat[i + l], flat[j + k], flat[j + l] = b, a, a, b
+            moved = True
+    if not moved:
+        return m
+    out = BinaryMatrix.__new__(BinaryMatrix)
+    out.entries = np.frombuffer(flat, dtype=np.int8).reshape(rows, cols).copy()
+    out.row_sums = m.row_sums
+    out.col_sums = m.col_sums
+    return out
+
+
+checkerboard_swap_step.run = checkerboard_swap_run
+
+
 def cooccurrence_statistic(m: BinaryMatrix) -> int:
     """Number of (row, column-pair) incidences where both columns carry a 1.
 

@@ -17,12 +17,13 @@ from .errors import ExmcmcError
 from .experiments import RUNNERS, ExperimentConfig
 
 
+# Comma lists: an empty entry is a usage error; an empty value is the empty list.
 def floats(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(",") if v)
+    return tuple(float(v) for v in text.split(",")) if text else ()
 
 
 def ints(text: str) -> tuple:
-    return tuple(int(v) for v in text.split(",") if v)
+    return tuple(int(v) for v in text.split(",")) if text else ()
 
 
 # Config field -> (flag, argparse options).

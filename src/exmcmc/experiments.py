@@ -101,8 +101,10 @@ class ExperimentConfig:
             raise ConfigError("m_values must not be empty")
         if any(m < 1 for m in self.m_values):
             raise ConfigError(f"m_values must all be >= 1, got {self.m_values}")
-        if len(set(self.m_values)) != len(self.m_values):
-            raise ConfigError(f"m_values must be distinct, got {self.m_values}")
+        for name in ("alphas", "rho", "m_values"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} must be distinct, got {values}")
 
 
 @dataclass

@@ -180,13 +180,25 @@ def is_reversible(
     return float(np.max(np.abs(flux - flux.T))) <= tol
 
 
+def _run(step: Callable, state, steps: int, rng: np.random.Generator):
+    """``steps`` base steps: the step's own ``run`` if it has one, else a loop."""
+    run = getattr(step, "run", None)
+    if run is not None:
+        return run(state, steps, rng)
+    for _ in range(steps):
+        state = step(state, rng)
+    return state
+
+
 class KernelPair:
     """A forward kernel and its reversal, with an L-step super-step size.
 
     ``forward`` and ``reverse`` are single base-step samplers
     ``(state, rng) -> state``.  ``super_forward``/``super_reverse`` apply the
     L-step law; for matrix-backed pairs these draw directly from the L-step
-    matrix power, which has the same law as L sequential base steps.
+    matrix power, which has the same law as L sequential base steps.  Other
+    pairs call a base step's ``run(state, steps, rng)`` if it has one; it must
+    return what ``steps`` calls return and leave ``rng`` where they leave it.
 
     ``spokes(state, n, steps, rng)``, if given, is the pair's one batch path:
     it returns a list of ``n`` independent forward ``steps``-step draws from
@@ -234,16 +246,12 @@ class KernelPair:
     def super_forward(self, state, rng: np.random.Generator):
         if self.forward_kernel is not None:
             return self.forward_kernel.step(state, rng, self.step_size)
-        for _ in range(self.step_size):
-            state = self.forward(state, rng)
-        return state
+        return _run(self.forward, state, self.step_size, rng)
 
     def super_reverse(self, state, rng: np.random.Generator):
         if self.reverse_kernel is not None:
             return self.reverse_kernel.step(state, rng, self.step_size)
-        for _ in range(self.step_size):
-            state = self.reverse(state, rng)
-        return state
+        return _run(self.reverse, state, self.step_size, rng)
 
     def fan(self, state, n: int, rng: np.random.Generator) -> list:
         """``n`` independent forward super-steps from ``state``, as a list.

@@ -11,6 +11,7 @@ from exmcmc.chains import (
     BinaryMatrix,
     association_statistic,
     bimodal_target,
+    checkerboard_swap_run,
     checkerboard_swap_step,
     cooccurrence_statistic,
     cpt_pair,
@@ -238,6 +239,82 @@ class TestCheckerboardSwap:
         se = math.sqrt(p * (1 - p) / n) * math.sqrt(10)
         for f, c in counts.items():
             assert abs(c / n - p) <= 4 * se
+
+
+def _swap_run_cases():
+    """(seed, entries, steps) cases: degenerate shapes, all-ones, 2x2 and
+    random shapes, including one whose proposal count exceeds 2**32."""
+    fixed = [np.ones((1, 6)), np.ones((6, 1)), [[1, 0], [0, 1]], np.ones((4, 5))]
+    gen = np.random.default_rng(2024)
+    cases = []
+    for seed in range(120):
+        if seed < 40:
+            entries = fixed[seed % len(fixed)]
+        else:
+            shape = (1 + int(gen.integers(8)), 1 + int(gen.integers(8)))
+            entries = gen.random(shape) < gen.random()
+        cases.append((seed, entries, 1 + int(gen.integers(200))))
+    cases.append((120, gen.random((300, 300)) < 0.4, 200))
+    return cases
+
+
+class TestCheckerboardSwapRun:
+    def test_step_carries_the_run(self):
+        assert checkerboard_swap_step.run is checkerboard_swap_run
+
+    @pytest.mark.parametrize("skip", [0, 1])
+    def test_run_is_steps_single_steps(self, skip):
+        """Same state, same ``is m`` outcome and same next draw as ``steps``
+        single steps, with no memory shared with the input's entries; with
+        ``skip`` the generator starts mid-word."""
+        moved = 0
+        for seed, entries, steps in _swap_run_cases():
+            m = BinaryMatrix(np.asarray(entries, dtype=int))
+            one, run = substream(seed, 77), substream(seed, 77)
+            one.integers(7, size=skip)
+            run.integers(7, size=skip)
+            expected = m
+            for _ in range(steps):
+                expected = checkerboard_swap_step(expected, one)
+            out = checkerboard_swap_run(m, steps, run)
+            assert out == expected
+            assert (out is m) == (expected is m)
+            assert one.integers(2**62) == run.integers(2**62)
+            if out is not m:
+                moved += 1
+                assert not np.shares_memory(out.entries, m.entries)
+                assert out.entries.dtype == np.int8 and out.entries.flags.owndata
+                assert out.row_sums is m.row_sums and out.col_sums is m.col_sums
+        assert moved > 30
+
+    def test_no_proposals_draws_nothing(self):
+        m = BinaryMatrix([[1, 0, 1]])
+        assert checkerboard_swap_run(m, 50, _CyclingGenerator()) is m
+
+    def test_output_steps_on(self, rng):
+        """A run's output is an ordinary state: the step and the run continue
+        from it without touching it."""
+        m = BinaryMatrix([[1, 0], [0, 1]])
+        out = checkerboard_swap_run(m, 1, rng)
+        assert out == BinaryMatrix([[0, 1], [1, 0]])
+        assert checkerboard_swap_step(out, rng) == m
+        assert checkerboard_swap_run(out, 3, rng) == m
+        assert out == BinaryMatrix([[0, 1], [1, 0]])
+
+    @pytest.mark.soak
+    def test_margin_conservation_soak(self):
+        """10^6 steps as 20,000 runs of 50 on a 20x12 matrix: margins
+        unchanged, exactly."""
+        rng = substream(8)
+        m = BinaryMatrix((rng.random((20, 12)) < 0.4).astype(int))
+        rows, cols = m.row_sums.copy(), m.col_sums.copy()
+        start = m
+        for _ in range(20_000):
+            m = checkerboard_swap_run(m, 50, rng)
+        assert m != start
+        assert np.isin(m.entries, (0, 1)).all()
+        assert np.array_equal(m.entries.sum(axis=1), rows)
+        assert np.array_equal(m.entries.sum(axis=0), cols)
 
 
 class TestMatrixStatistics:

@@ -223,11 +223,28 @@ class TestExitCodes:
             (["consistency", "--m-values="], "m_values must not be empty"),
             (["cpt-demo", "--seed", "-1"], "seed must be >= 0"),
             (["consistency", "--m-values", "5,5"], "m_values must be distinct, got (5, 5)"),
+            (["sqrt-eps", "--alpha", "0.05,0.05"], "alphas must be distinct, got (0.05, 0.05)"),
+            (["power-curve", "--rho", "0.7,0.7"], "rho must be distinct, got (0.7, 0.7)"),
         ],
     )
     def test_bad_config_field(self, argv, message, capsys):
         assert main(argv + ["--reps", "1"]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("sqrt-eps", "--alpha", "0.05,"),
+            ("sqrt-eps", "--alpha", ",,0.05"),
+            ("power-curve", "--rho", "0.7,,0.9"),
+            ("consistency", "--m-values", "5,,6"),
+        ],
+    )
+    def test_empty_list_entry_is_a_usage_error(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value, "--reps", "1"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["bimodal-table", "power-curve", "matrix-gof", "cpt-demo"])
     def test_single_level_runner_rejects_alpha_list(self, command, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exmcmc import fixtures
-from exmcmc.chains import bimodal_target, mh_pm1_kernel
+from exmcmc.chains import BinaryMatrix, bimodal_target, checkerboard_swap_step, mh_pm1_kernel
 from exmcmc.errors import (
     DimensionMismatchError,
     ReversalUndefinedError,
@@ -22,6 +22,8 @@ from exmcmc.kernel import (
     reversal,
 )
 from exmcmc.pvalue import p_infinity_discrete
+from exmcmc.rng import substream
+from exmcmc.samplers import sample_permuted_serial
 
 EXACT = 1e-12
 
@@ -259,6 +261,76 @@ class TestKernelPair:
     def test_fan_without_batch_takes_single_super_steps(self):
         pair = KernelPair(lambda s, r: s + 1, lambda s, r: s - 1, step_size=2)
         assert pair.fan(0, 3, None) == [2, 2, 2]
+
+
+class CountingGenerator:
+    """A generator that counts its ``integers`` calls."""
+
+    def __init__(self, seed):
+        self.gen = substream(seed)
+        self.integer_calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.integer_calls += 1
+        return self.gen.integers(*args, **kwargs)
+
+
+def _swap_start(seed=3):
+    return BinaryMatrix(substream(seed).random((20, 12)) < 0.4)
+
+
+class TestStepRun:
+    def test_super_steps_call_the_steps_run(self):
+        """A base step's ``run`` takes the whole super-step, in each direction."""
+        calls = []
+
+        def step(state, rng):
+            raise AssertionError("the run replaces the loop")
+
+        def run(state, steps, rng):
+            calls.append((state, steps, rng))
+            return state + steps
+
+        step.run = run
+        pair = KernelPair(step, step, step_size=7)
+        assert pair.super_forward(1, "rng") == 8
+        assert pair.super_reverse(2, "rng") == 9
+        assert pair.fan(0, 2, "rng") == [7, 7]
+        assert calls == [(1, 7, "rng"), (2, 7, "rng"), (0, 7, "rng"), (0, 7, "rng")]
+
+    @pytest.mark.parametrize("direction", ["super_forward", "super_reverse"])
+    def test_swap_super_step_is_one_integers_call(self, direction):
+        pair = KernelPair(
+            checkerboard_swap_step, checkerboard_swap_step, step_size=50, reversible=True
+        )
+        rng = CountingGenerator(5)
+        getattr(pair, direction)(_swap_start(), rng)
+        assert rng.integer_calls == 1
+
+    def test_wrapper_without_run_gives_the_same_results(self):
+        """A pair of wrapped steps (no ``run``, as under a tracer) loops
+        single steps and gives bit-identical super-steps and samples."""
+        plain = KernelPair(
+            checkerboard_swap_step, checkerboard_swap_step, step_size=50, reversible=True
+        )
+        wrapped = KernelPair(
+            lambda m, r: checkerboard_swap_step(m, r),
+            lambda m, r: checkerboard_swap_step(m, r),
+            step_size=50,
+            reversible=True,
+        )
+        x0 = _swap_start()
+        for seed in range(20):
+            outs = []
+            for pair in (plain, wrapped):
+                rng = substream(seed)
+                fwd = pair.super_forward(x0, rng)
+                rev = pair.super_reverse(fwd, rng)
+                draws = sample_permuted_serial(pair, x0, 9, rng).draws
+                outs.append(
+                    ([s.entries.tobytes() for s in (fwd, rev, *draws)], fwd is x0, rng.random())
+                )
+            assert outs[0] == outs[1]
 
 
 class TopOfUnitInterval:
