@@ -15,7 +15,6 @@ from .chains import (
     PermutationState,
     bimodal_target,
     checkerboard_swap_step,
-    cooccurrence_statistic,
     cpt_pair,
     cpt_swap_spokes,
     cpt_swap_step,
@@ -56,7 +55,6 @@ from .pvalue import (
     p_analytic,
     p_infinity_ar1,
     p_infinity_discrete,
-    p_max,
     p_mc,
     p_mc_randomized,
     power_parallel_limit,

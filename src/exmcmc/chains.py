@@ -199,16 +199,6 @@ def checkerboard_swap_run(m: BinaryMatrix, steps: int, rng: np.random.Generator)
 checkerboard_swap_step.run = checkerboard_swap_run
 
 
-def cooccurrence_statistic(m: BinaryMatrix) -> int:
-    """Number of (row, column-pair) incidences where both columns carry a 1.
-
-    Invariant under row permutations; discriminates planted column
-    associations in the margin-conditioned test.
-    """
-    gram = m.entries.T.astype(np.int64) @ m.entries.astype(np.int64)
-    return int((gram.sum() - np.trace(gram)) // 2)
-
-
 def association_statistic(m: BinaryMatrix) -> int:
     """Sum over column pairs of the squared shared-1 row count.
 
@@ -351,8 +341,8 @@ def cpt_swap_spokes(
 def cpt_pair(q_log: np.ndarray, step_size: int = 1) -> KernelPair:
     """Kernel pair for the (reversible) permutation swap chain.
 
-    Single steps are :func:`cpt_swap_step`; a fan of spokes runs
-    :func:`cpt_swap_spokes` in lockstep.
+    The step is :func:`cpt_swap_step` and carries :func:`cpt_swap_spokes`,
+    which runs a fan of spokes in lockstep.
     """
     q_log = np.asarray(q_log, dtype=float)
     if not np.isfinite(q_log).all():
@@ -361,10 +351,8 @@ def cpt_pair(q_log: np.ndarray, step_size: int = 1) -> KernelPair:
     def step(state, rng):
         return cpt_swap_step(state, q_log, rng)
 
-    def spokes(state, n, steps, rng):
-        return cpt_swap_spokes(state, q_log, n, steps, rng)
-
-    return KernelPair(step, step, step_size=step_size, reversible=True, spokes=spokes)
+    step.spokes = lambda state, n, steps, rng: cpt_swap_spokes(state, q_log, n, steps, rng)
+    return KernelPair(step, step, step_size=step_size, reversible=True)
 
 
 def cpt_target(q_log: np.ndarray) -> DiscreteDistribution:

@@ -1,17 +1,16 @@
 """Markov transition kernels, reversals, and stationarity checks.
 
-Finite chains are represented as row-stochastic matrices over an ordered list
-of abstract state identifiers.  Continuous chains (e.g. the autoregressive
-chain in :mod:`exmcmc.chains`) implement the same step-sampler interface via
-:class:`KernelPair` but do not support matrix operations.
-
-A pair has one optional batch path, its ``spokes`` hook, which
-:meth:`KernelPair.fan` calls for a run of a vertex's leaf children reached
-with the flow (the spokes of the parallel method).
+A chain enters the samplers as a :class:`KernelPair`: a forward step, its
+time reversal and a super-step size L.  A step is a callable
+``(state, rng) -> state`` that may carry its own batch paths, ``run`` for an
+L-step super-step and ``spokes`` for a fan of them.  A finite chain's step is
+a :class:`DiscreteKernel`, a row-stochastic matrix over an ordered list of
+abstract state identifiers, which carries both.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -116,10 +115,16 @@ class DiscreteKernel:
             self._cums[steps] = _pinned_cumsum(self.power(steps))
         return self._cums[steps]
 
-    def step(self, state, rng: np.random.Generator, steps: int = 1):
+    def run(self, state, steps: int, rng: np.random.Generator):
         """One draw from the ``steps``-step law started at ``state``."""
         row = self._cumulative(steps)[self._index[state]]
         return self.states[int(np.searchsorted(row, rng.random(), side="right"))]
+
+    def step(self, state, rng: np.random.Generator):
+        """One base step; the kernel is itself a step."""
+        return self.run(state, 1, rng)
+
+    __call__ = step
 
     def spokes(self, state, n: int, steps: int, rng: np.random.Generator) -> list:
         """``n`` independent ``steps``-step draws from ``state``, as a list.
@@ -180,40 +185,26 @@ def is_reversible(
     return float(np.max(np.abs(flux - flux.T))) <= tol
 
 
-def _run(step: Callable, state, steps: int, rng: np.random.Generator):
-    """``steps`` base steps: the step's own ``run`` if it has one, else a loop."""
-    run = getattr(step, "run", None)
-    if run is not None:
-        return run(state, steps, rng)
+def _loop(step: Callable, state, steps: int, rng: np.random.Generator):
+    """``steps`` single calls of a step that carries no ``run``."""
     for _ in range(steps):
         state = step(state, rng)
     return state
 
 
 class KernelPair:
-    """A forward kernel and its reversal, with an L-step super-step size.
+    """A forward step and its reversal, with an L-step super-step size.
 
-    ``forward`` and ``reverse`` are single base-step samplers
-    ``(state, rng) -> state``.  ``super_forward``/``super_reverse`` apply the
-    L-step law; for matrix-backed pairs these draw directly from the L-step
-    matrix power, which has the same law as L sequential base steps.  Other
-    pairs call a base step's ``run(state, steps, rng)`` if it has one; it must
-    return what ``steps`` calls return and leave ``rng`` where they leave it.
-
-    ``spokes(state, n, steps, rng)``, if given, is the pair's one batch path:
-    it returns a list of ``n`` independent forward ``steps``-step draws from
-    ``state``, each an ordinary state as ``forward`` would return it.
+    ``forward`` and ``reverse`` are base steps ``(state, rng) -> state``.  A
+    step may carry ``run(state, steps, rng)``, which must return what
+    ``steps`` calls return and leave ``rng`` where they leave it; the pair
+    binds it once, or a loop of single steps, for its super-steps.  The
+    forward step may also carry ``spokes(state, n, steps, rng)``, a list of
+    ``n`` independent forward ``steps``-step draws, each an ordinary state.
     """
 
     def __init__(
-        self,
-        forward: Callable,
-        reverse: Callable,
-        step_size: int = 1,
-        reversible: bool = False,
-        forward_kernel: DiscreteKernel | None = None,
-        reverse_kernel: DiscreteKernel | None = None,
-        spokes: Callable | None = None,
+        self, forward: Callable, reverse: Callable, step_size: int = 1, reversible: bool = False
     ):
         if step_size < 1:
             raise ValueError("step_size must be >= 1")
@@ -221,9 +212,8 @@ class KernelPair:
         self.reverse = reverse
         self.step_size = step_size
         self.reversible = reversible
-        self.forward_kernel = forward_kernel
-        self.reverse_kernel = reverse_kernel
-        self.spokes = spokes
+        self._forward_run = getattr(forward, "run", None) or partial(_loop, forward)
+        self._reverse_run = getattr(reverse, "run", None) or partial(_loop, reverse)
 
     @classmethod
     def from_discrete(
@@ -232,34 +222,22 @@ class KernelPair:
         target: DiscreteDistribution,
         step_size: int = 1,
     ) -> "KernelPair":
-        rev = reversal(kernel, target)
-        return cls(
-            forward=kernel.step,
-            reverse=rev.step,
-            step_size=step_size,
-            reversible=is_reversible(kernel, target),
-            forward_kernel=kernel,
-            reverse_kernel=rev,
-            spokes=kernel.spokes,
-        )
+        return cls(kernel, reversal(kernel, target), step_size, is_reversible(kernel, target))
 
     def super_forward(self, state, rng: np.random.Generator):
-        if self.forward_kernel is not None:
-            return self.forward_kernel.step(state, rng, self.step_size)
-        return _run(self.forward, state, self.step_size, rng)
+        return self._forward_run(state, self.step_size, rng)
 
     def super_reverse(self, state, rng: np.random.Generator):
-        if self.reverse_kernel is not None:
-            return self.reverse_kernel.step(state, rng, self.step_size)
-        return _run(self.reverse, state, self.step_size, rng)
+        return self._reverse_run(state, self.step_size, rng)
 
     def fan(self, state, n: int, rng: np.random.Generator) -> list:
         """``n`` independent forward super-steps from ``state``, as a list.
 
-        Pairs with ``spokes`` call it; any other pair takes ``n`` single
-        super-steps.  Matrix-backed pairs carry :meth:`DiscreteKernel.spokes`,
-        which moves the stream exactly as the single super-steps would.
+        The forward step's ``spokes``, if it has one, draws them; otherwise
+        the pair takes ``n`` single super-steps.  :meth:`DiscreteKernel.spokes`
+        moves the stream exactly as the single super-steps would.
         """
-        if self.spokes is not None:
-            return self.spokes(state, n, self.step_size, rng)
+        spokes = getattr(self.forward, "spokes", None)
+        if spokes is not None:
+            return spokes(state, n, self.step_size, rng)
         return [self.super_forward(state, rng) for _ in range(n)]

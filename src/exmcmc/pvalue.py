@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidStatisticError, UnsupportedRepresentationError
-from .kernel import DiscreteDistribution, KernelPair
+from .kernel import DiscreteDistribution, DiscreteKernel, KernelPair
 
 
 def _check_finite(values) -> None:
@@ -85,17 +85,6 @@ def sqrt_epsilon(p) -> float:
     return min(1.0, math.sqrt(2 * float(p)))
 
 
-def p_max(p_values: Sequence[float]) -> float:
-    """Maximized p-value over a finite family of simple nulls."""
-    values = list(p_values)
-    if not values:
-        raise ValueError("p_max requires at least one p-value")
-    for p in values:
-        if not 0 <= p <= 1:
-            raise ValueError(f"p-values must lie in [0, 1], got {p!r}")
-    return max(values)
-
-
 @dataclass(frozen=True)
 class AtomLaw:
     """A finite distribution over values in [0, 1]."""
@@ -117,10 +106,9 @@ def p_infinity_discrete(
     limit value is the L-step forward mass of ``{T >= T(x0)}`` from ``s``,
     weighted by the reverse L-step probability of ``s``.
     """
-    kernel = pair.forward_kernel
-    if kernel is None:
+    kernel, rev = pair.forward, pair.reverse
+    if not (isinstance(kernel, DiscreteKernel) and isinstance(rev, DiscreteKernel)):
         raise UnsupportedRepresentationError("operation requires a matrix-backed kernel")
-    rev = pair.reverse_kernel
     L = pair.step_size
     fwd = kernel.power(L)
     back = rev.power(L)

@@ -7,8 +7,8 @@ kernel pair, and the tree is walked depth-first from the observed point's
 mark.  The parallel (hub-and-spoke) method is the tree method on a star, and
 the permuted serial method is the tree method on a path.  A run of two or
 more consecutive leaf children of a vertex reached with the flow (the spokes
-of a star) is drawn in one :meth:`KernelPair.fan` call, which batches it for
-pairs with a ``spokes`` hook.
+of a star) is drawn in one :meth:`KernelPair.fan` call, which batches it when
+the pair's forward step carries ``spokes``.
 """
 
 from __future__ import annotations

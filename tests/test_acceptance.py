@@ -130,7 +130,7 @@ def test_criterion_06_limiting_mixture():
     # the count of spokes with T >= T(x0) is binomial in the hub's tail mass.
     reps, m = 1_000_000, 10_000
     rng = substream(20250824, 6)
-    back_row = pair.reverse_kernel.matrix[kernel.index(1)]
+    back_row = pair.reverse.matrix[kernel.index(1)]
     fwd = kernel.matrix
     tail = np.array([stat(s) >= stat(1) for s in kernel.states], dtype=float)
     hubs = rng.random(reps) < back_row[1]  # True -> hub state 1
@@ -245,7 +245,7 @@ def test_criterion_09_cpt_kernel():
 def test_criterion_10_sqrt_epsilon_validity():
     """The square-root correction restores validity for sequential sampling."""
     result = run_sqrt_epsilon_demo(
-        ExperimentConfig(alphas=(0.01, 0.05, 0.1))
+        ExperimentConfig(alphas=(0.01, 0.05, 0.1, 0.2, 0.3))
     )
     monotone_row = result.rows[-1]
     ok = not result.violations and monotone_row[1] == 1

@@ -13,7 +13,6 @@ from exmcmc.chains import (
     bimodal_target,
     checkerboard_swap_run,
     checkerboard_swap_step,
-    cooccurrence_statistic,
     cpt_pair,
     cpt_swap_spokes,
     cpt_swap_step,
@@ -318,28 +317,33 @@ class TestCheckerboardSwapRun:
 
 
 class TestMatrixStatistics:
-    def test_cooccurrence_examples(self):
-        assert cooccurrence_statistic(BinaryMatrix(np.zeros((3, 3), dtype=int))) == 0
-        assert cooccurrence_statistic(BinaryMatrix(np.ones((2, 2), dtype=int))) == 2
-        assert cooccurrence_statistic(BinaryMatrix(np.eye(3, dtype=int))) == 0
+    def test_association_examples(self):
+        assert association_statistic(BinaryMatrix(np.zeros((3, 3), dtype=int))) == 0
+        assert association_statistic(BinaryMatrix(np.ones((2, 2), dtype=int))) == 4
+        assert association_statistic(BinaryMatrix(np.eye(3, dtype=int))) == 0
 
-    def test_cooccurrence_row_permutation_invariant(self, rng):
+    def test_association_row_permutation_invariant(self, rng):
         m = (rng.random((6, 5)) < 0.5).astype(int)
         perm = rng.permutation(6)
-        assert cooccurrence_statistic(BinaryMatrix(m)) == cooccurrence_statistic(
+        assert association_statistic(BinaryMatrix(m)) == association_statistic(
             BinaryMatrix(m[perm])
         )
 
-    def test_cooccurrence_constant_on_fiber(self, rng):
-        """The shared-1 total is a function of the row sums alone, hence
-        invariant under margin-preserving swaps."""
+    def test_shared_one_total_constant_on_fiber(self, rng):
+        """The docstring's claim: the plain shared-1 total is a function of
+        the row sums alone, hence invariant under margin-preserving swaps."""
+
+        def shared_one_total(m):
+            gram = m.entries.T.astype(np.int64) @ m.entries.astype(np.int64)
+            return int((gram.sum() - np.trace(gram)) // 2)
+
         m = BinaryMatrix((rng.random((8, 6)) < 0.5).astype(int))
-        base = cooccurrence_statistic(m)
+        base = shared_one_total(m)
         expected = sum(r * (r - 1) // 2 for r in m.row_sums)
         assert base == expected
         for _ in range(500):
             m = checkerboard_swap_step(m, rng)
-            assert cooccurrence_statistic(m) == base
+            assert shared_one_total(m) == base
 
     def test_association_varies_on_fiber(self, rng):
         m = BinaryMatrix((rng.random((10, 6)) < 0.5).astype(int))

@@ -1,5 +1,7 @@
 """Kernel algebra: reversal, stationarity, detailed balance, super-steps."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,7 +208,25 @@ class TestKernelPair:
         kernel, target = skewed_walk
         pair = KernelPair.from_discrete(kernel, target)
         assert pair.reversible
-        assert pair.forward_kernel is not None
+        assert pair.forward is kernel
+
+    def test_pair_takes_two_steps_and_an_l(self):
+        assert list(inspect.signature(KernelPair).parameters) == [
+            "forward", "reverse", "step_size", "reversible"
+        ]
+
+    def test_from_discrete_steps_are_the_kernel_and_its_reversal(self):
+        kernel, target = fixtures.biased_cycle()
+        pair = KernelPair.from_discrete(kernel, target, step_size=2)
+        assert pair.forward is kernel
+        assert isinstance(pair.reverse, DiscreteKernel)
+        assert pair.reverse.states == kernel.states
+        assert np.array_equal(pair.reverse.matrix, reversal(kernel, target).matrix)
+        assert not pair.reversible and pair.step_size == 2
+        # A kernel called as a step is its one-step run, on the same stream.
+        a, b = substream(1), substream(1)
+        assert [kernel("a", a) for _ in range(20)] == [kernel.run("a", 1, b) for _ in range(20)]
+        assert a.random() == b.random()
 
     def test_super_step_matches_matrix_power_law(self, rng):
         """Matrix-power super-steps have the L-step law of base stepping."""
@@ -232,7 +252,7 @@ class TestKernelPair:
         pair = KernelPair(fwd, fwd, step_size=4)
         assert pair.super_forward(0, rng) == 4
         assert calls == [0, 1, 2, 3]
-        assert pair.forward_kernel is None
+        assert pair.forward is fwd
 
     def test_require_discrete_rejects_callables(self, rng):
         """A matrix-only operation on a callable pair names the representation."""
@@ -245,18 +265,35 @@ class TestKernelPair:
             KernelPair(lambda s, r: s, lambda s, r: s, step_size=0)
 
     def test_non_reversible_pair_may_carry_spokes(self):
-        """Fans run only with the flow, so any pair may carry a spokes hook;
-        ``fan`` hands it the pair's step size."""
+        """Fans run only with the flow, so the forward step of any pair may
+        carry ``spokes``; ``fan`` hands it the pair's step size."""
         calls = []
 
         def spokes(state, n, steps, rng):
             calls.append((state, n, steps))
             return [state] * n
 
-        pair = KernelPair(lambda s, r: s, lambda s, r: s, step_size=5, spokes=spokes)
+        forward = lambda s, r: s
+        forward.spokes = spokes
+        pair = KernelPair(forward, lambda s, r: s, step_size=5)
         assert not pair.reversible
         assert pair.fan("a", 3, None) == ["a", "a", "a"]
         assert calls == [("a", 3, 5)]
+
+    def test_only_the_forward_steps_spokes_make_a_fan(self):
+        """A lambda step that carries ``spokes`` is the fan path, looked up
+        when the fan is drawn; spokes on the reverse step are never used."""
+
+        def spokes(state, n, steps, rng):
+            return ["spoke"] * n
+
+        forward = lambda s, r: s + 1
+        reverse = lambda s, r: s - 1
+        reverse.spokes = spokes
+        pair = KernelPair(forward, reverse, step_size=2)
+        assert pair.fan(0, 3, None) == [2, 2, 2]
+        forward.spokes = spokes
+        assert pair.fan(0, 3, None) == ["spoke"] * 3
 
     def test_fan_without_batch_takes_single_super_steps(self):
         pair = KernelPair(lambda s, r: s + 1, lambda s, r: s - 1, step_size=2)
@@ -356,8 +393,8 @@ class TestInverseCdfAtTopOfUnitInterval:
         pair = KernelPair.from_discrete(mh_pm1_kernel(target), target, step)
         rng = TopOfUnitInterval()
         for kernel, move in (
-            (pair.forward_kernel, pair.super_forward),
-            (pair.reverse_kernel, pair.super_reverse),
+            (pair.forward, pair.super_forward),
+            (pair.reverse, pair.super_reverse),
         ):
             law = kernel.power(step)
             for x in target.states:
@@ -369,7 +406,7 @@ class TestInverseCdfAtTopOfUnitInterval:
         target = bimodal_target()
         pair = KernelPair.from_discrete(mh_pm1_kernel(target), target, step)
         rng = TopOfUnitInterval()
-        kernel = pair.forward_kernel
+        kernel = pair.forward
         law = kernel.power(step)
         for x in target.states:
             for y in pair.fan(x, 3, rng):

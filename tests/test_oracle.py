@@ -17,7 +17,7 @@ from exmcmc.chains import (
     make_permutation_state,
 )
 from exmcmc.errors import TractabilityError
-from exmcmc.kernel import KernelPair
+from exmcmc.kernel import DiscreteDistribution, DiscreteKernel, KernelPair
 from exmcmc.oracle import (
     JointLaw,
     count_fiber,
@@ -26,7 +26,7 @@ from exmcmc.oracle import (
     exact_rejection_probability,
     exchangeability_distance,
 )
-from exmcmc.pvalue import p_mc
+from exmcmc.pvalue import p_mc, sqrt_epsilon
 from exmcmc.rng import substream
 from exmcmc.samplers import (
     MarkedTree,
@@ -266,6 +266,23 @@ class TestSamplersMatchTheirLaws:
         self._check(self._empirical(draw, self.N), law, self.N)
 
 
+def assert_sqrt_epsilon_valid(kernel, target):
+    """On a reversible chain the corrected sequential p-value is valid at
+    every level of a 0.05 grid, including those the correction's floor
+    sqrt(2/(M+1)) lets it reach."""
+    stat = fixtures.state_index_statistic(kernel)
+    for m in range(1, 5):
+        for step in (1, 2):
+            law = exact_joint("sequential", kernel, target, n_draws=m, step=step)
+            corrected = [
+                sqrt_epsilon(p_mc(stat(t[0]), [stat(x) for x in t[1:]])) for t in law.support
+            ]
+            for a in range(1, 21):
+                alpha = Fraction(a, 20)
+                r = sum(w for c, w in zip(corrected, law.mass) if c <= alpha)
+                assert r <= float(alpha) + 1e-12, (m, step, a)
+
+
 class TestExactRejection:
     def test_alpha_at_least_one(self, skewed_walk):
         kernel, target = skewed_walk
@@ -304,6 +321,19 @@ class TestExactRejection:
         r = exact_rejection_probability(law, stat, Fraction(1, 3))
         assert r == pytest.approx(3 / 8, abs=1e-12)
         assert r > 1 / 3
+
+    @pytest.mark.parametrize("chain", ["lazy_walk_uniform", "lazy_walk_skewed"])
+    def test_sqrt_epsilon_sequential_is_valid(self, chain):
+        assert_sqrt_epsilon_valid(*getattr(fixtures, chain)())
+
+    @settings(max_examples=30, deadline=None)
+    @given(units=random_units)
+    def test_sqrt_epsilon_sequential_is_valid_on_random_reversible_chains(self, units):
+        weights = np.array(units).reshape(3, 3)
+        weights = weights + weights.T  # a symmetric flux is reversible for its row sums
+        rows = weights.sum(axis=1)
+        kernel = DiscreteKernel((0, 1, 2), weights / rows[:, None])
+        assert_sqrt_epsilon_valid(kernel, DiscreteDistribution((0, 1, 2), rows / rows.sum()))
 
     def test_randomized_ties_exactly_uniform(self):
         """Randomized tie-break restores exact uniformity on the alpha grid."""

@@ -19,7 +19,6 @@ from exmcmc.pvalue import (
     p_analytic,
     p_infinity_ar1,
     p_infinity_discrete,
-    p_max,
     p_mc,
     p_mc_randomized,
     power_parallel_limit,
@@ -134,19 +133,6 @@ class TestSqrtEpsilon:
         assert sqrt_epsilon(p) >= float(p)
 
 
-class TestPMax:
-    def test_maximum(self):
-        assert p_max([0.2, 0.7, 0.5]) == 0.7
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            p_max([])
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            p_max([0.5, 1.5])
-
-
 class TestPInfinityDiscrete:
     def test_identity_kernel_point_mass_at_one(self, rng):
         from exmcmc.kernel import DiscreteKernel
@@ -184,6 +170,12 @@ class TestPInfinityDiscrete:
         pair = KernelPair(lambda s, r: s, lambda s, r: s)
         with pytest.raises(UnsupportedRepresentationError):
             p_infinity_discrete(pair, lambda s: s, 0.0)
+
+    def test_pair_needs_a_matrix_in_both_directions(self):
+        kernel, _ = fixtures.two_state()
+        for pair in (KernelPair(kernel, kernel.step), KernelPair(lambda s, r: s, kernel)):
+            with pytest.raises(UnsupportedRepresentationError):
+                p_infinity_discrete(pair, lambda s: s, 0)
 
     def test_atom_law_validates_mass(self):
         with pytest.raises(ValueError):

@@ -233,13 +233,13 @@ class TestSampleSets:
         else:
             q_log = np.log(np.arange(1.0, 17.0)).reshape(4, 4)
             pair, x0 = cpt_pair(q_log, 3), make_permutation_state(range(4), q_log)
-        calls, spokes = [], pair.spokes
+        calls, spokes = [], pair.forward.spokes
 
         def counted(state, n, steps, rng):
             calls.append(n)
             return spokes(state, n, steps, rng)
 
-        pair.spokes = counted
+        pair.forward.spokes = counted
         out = sample_parallel(pair, x0, 7, substream(4))
         assert calls == [7] and out.n_draws == 7
 
