@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,14 +101,15 @@ class BinaryMatrix:
     """An I x J 0/1 matrix with cached row and column sums."""
 
     def __init__(self, entries):
-        entries = np.asarray(entries, dtype=np.int8)
+        entries = np.asarray(entries)
         if entries.ndim != 2:
             raise ValueError("entries must be a 2-d array")
+        # Checked before the cast, which would truncate 0.5 to 0 and 1.7 to 1.
         if not np.isin(entries, (0, 1)).all():
             raise ValueError("entries must be 0 or 1")
-        self.entries = entries
-        self.row_sums = entries.sum(axis=1)
-        self.col_sums = entries.sum(axis=0)
+        self.entries = entries.astype(np.int8, copy=False)
+        self.row_sums = self.entries.sum(axis=1)
+        self.col_sums = self.entries.sum(axis=0)
 
     @property
     def shape(self):
@@ -224,13 +226,12 @@ def parse_binary_matrix(text: str) -> BinaryMatrix:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise MatrixFormatError("empty matrix text")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise MatrixFormatError("line 1: header must be 'rows cols'")
     try:
-        rows, cols = int(header[0]), int(header[1])
+        rows, cols = map(int, lines[0].split())
+        if rows < 1 or cols < 1:
+            raise ValueError
     except ValueError:
-        raise MatrixFormatError("line 1: header must be 'rows cols'") from None
+        raise MatrixFormatError("line 1: header must be 'rows cols', both positive") from None
     if len(lines) - 1 != rows:
         raise MatrixFormatError(f"expected {rows} grid rows, got {len(lines) - 1}")
     grid = []
@@ -238,10 +239,9 @@ def parse_binary_matrix(text: str) -> BinaryMatrix:
         values = line.split()
         if len(values) != cols:
             raise MatrixFormatError(f"line {lineno}: expected {cols} entries")
-        try:
-            grid.append([int(v) for v in values])
-        except ValueError:
-            raise MatrixFormatError(f"line {lineno}: entries must be 0 or 1") from None
+        if not set(values) <= {"0", "1"}:
+            raise MatrixFormatError(f"line {lineno}: entries must be 0 or 1")
+        grid.append([int(v) for v in values])
     return BinaryMatrix(grid)
 
 
@@ -256,16 +256,28 @@ class PermutationState:
     log_weight: float
 
 
+def _log_density_table(q_log) -> np.ndarray:
+    """``q_log`` as a finite, square float table; anything else is a ValueError."""
+    q_log = np.asarray(q_log, dtype=float)
+    if q_log.ndim != 2 or q_log.shape[0] != q_log.shape[1]:
+        raise ValueError(f"q_log must be a square table, got shape {q_log.shape}")
+    if not np.isfinite(q_log).all():
+        raise ValueError("q_log must be finite everywhere")
+    return q_log
+
+
 def make_permutation_state(perm, q_log: np.ndarray) -> PermutationState:
     """Build a state and validate the log-density table.
 
     ``q_log[i, j]`` is the log density of observed value i at slot j; the
-    target weight of a permutation is ``sum_j q_log[perm[j], j]``.
+    target weight of a permutation is ``sum_j q_log[perm[j], j]``.  The
+    entries of ``perm`` must be integers: 1.5 or "1" is an error, not 1.
     """
-    q_log = np.asarray(q_log, dtype=float)
-    if not np.isfinite(q_log).all():
-        raise ValueError("q_log must be finite everywhere")
-    perm = tuple(int(p) for p in perm)
+    q_log = _log_density_table(q_log)
+    try:
+        perm = tuple(map(operator.index, perm))
+    except TypeError:
+        raise ValueError("perm entries must be integers") from None
     n = q_log.shape[0]
     if sorted(perm) != list(range(n)):
         raise ValueError("perm must be a permutation of 0..n-1")
@@ -344,9 +356,7 @@ def cpt_pair(q_log: np.ndarray, step_size: int = 1) -> KernelPair:
     The step is :func:`cpt_swap_step` and carries :func:`cpt_swap_spokes`,
     which runs a fan of spokes in lockstep.
     """
-    q_log = np.asarray(q_log, dtype=float)
-    if not np.isfinite(q_log).all():
-        raise ValueError("q_log must be finite everywhere")
+    q_log = _log_density_table(q_log)
 
     def step(state, rng):
         return cpt_swap_step(state, q_log, rng)

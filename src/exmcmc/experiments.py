@@ -22,6 +22,7 @@ from .chains import (
     BinaryMatrix,
     association_statistic,
     bimodal_target,
+    checkerboard_swap_run,
     checkerboard_swap_step,
     cpt_pair,
     make_permutation_state,
@@ -40,7 +41,7 @@ from .pvalue import (
     sqrt_epsilon,
 )
 from .rng import substream
-from .samplers import sample_parallel, sample_permuted_serial, sample_sequential
+from .samplers import sample_iid, sample_parallel, sample_permuted_serial, sample_sequential
 
 # Pilot-calibrated constants (pilot seed 20250824): the planted column-copy
 # rate for the matrix alternative and the signal slope for the dependent CPT
@@ -190,7 +191,6 @@ def run_bimodal_table(config: ExperimentConfig) -> ExperimentResult:
     target = bimodal_target()
     kernel = mh_pm1_kernel(target)
     pair = KernelPair.from_discrete(kernel, target, config.step or 100)
-    states = np.array(target.states)
     m = config.n_draws or 99
 
     methods = ("standard", "parallel", "permuted_serial")
@@ -203,7 +203,7 @@ def run_bimodal_table(config: ExperimentConfig) -> ExperimentResult:
         cell = "low" if x0 <= 50 else "high"
         counts[cell] += 1
         batches = (
-            states[target.sample_indices(rng, m)],
+            sample_iid(target, x0, m, rng).draws,
             sample_parallel(pair, x0, m, rng).draws,
             sample_permuted_serial(pair, x0, m, rng).draws,
         )
@@ -349,12 +349,6 @@ def run_consistency(config: ExperimentConfig) -> ExperimentResult:
 # -- Margin-conditioned uniformity test for binary matrices ----------------
 
 
-def _swap_chain_pair(step: int) -> KernelPair:
-    return KernelPair(
-        checkerboard_swap_step, checkerboard_swap_step, step_size=step, reversible=True
-    )
-
-
 @_runner("matrix-gof", "margin-conditioned uniformity test for binary matrices",
          "seed", "reps", "n_draws", "step", "alphas", "rows", "cols")
 def run_matrix_gof(config: ExperimentConfig) -> ExperimentResult:
@@ -368,12 +362,11 @@ def run_matrix_gof(config: ExperimentConfig) -> ExperimentResult:
     alpha, level = _one_alpha(config, "matrix-gof")
     step = config.step or 50
     m = config.n_draws or 99
-    pair = _swap_chain_pair(step)
+    pair = KernelPair(checkerboard_swap_step, checkerboard_swap_step, step, reversible=True)
 
     gen_rng = substream(config.seed, 10**6)
     base = BinaryMatrix((gen_rng.random((config.rows, config.cols)) < 0.4).astype(int))
-    current = _swap_chain_pair(100_000).super_forward(base, gen_rng)
-    thinning = _swap_chain_pair(2000)
+    current = checkerboard_swap_run(base, 100_000, gen_rng)
 
     rows = []
     rejects = {"null": 0, "alternative": 0}
@@ -385,7 +378,7 @@ def run_matrix_gof(config: ExperimentConfig) -> ExperimentResult:
         rows.append((batch, rep, float(p), int(p <= level)))
 
     for rep in range(reps):
-        current = thinning.super_forward(current, gen_rng)
+        current = checkerboard_swap_run(current, 2000, gen_rng)
         test("null", rep, current, substream(config.seed, rep))
 
     for rep in range(reps):

@@ -5,23 +5,22 @@ invalidity demonstration), and the marked-tree method with constructors for
 path, star, and split-star trees.  Each tree edge is one super-step of the
 kernel pair, and the tree is walked depth-first from the observed point's
 mark.  The parallel (hub-and-spoke) method is the tree method on a star, and
-the permuted serial method is the tree method on a path.  A run of two or
-more consecutive leaf children of a vertex reached with the flow (the spokes
-of a star) is drawn in one :meth:`KernelPair.fan` call, which batches it when
-the pair's forward step carries ``spokes``.
+the permuted serial method is the tree method on a path.  A vertex whose
+neighbours are all leaves reached with the flow (the hub of a star) draws them
+in one :meth:`KernelPair.fan` call, which batches it when the pair's forward
+step carries ``spokes``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import groupby
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import TreeFormatError, TreeValidationError
-from .kernel import KernelPair
+from .kernel import DiscreteDistribution, KernelPair
 
 
 @dataclass(frozen=True)
@@ -92,55 +91,37 @@ class MarkedTree:
     def _neighbors(self) -> tuple:
         """:meth:`adjacency` as tuples, built once per tree for the walk.
 
-        A run of two or more consecutive neighbours that are leaves
-        (degree-one vertices) reached with the flow becomes one
-        ``(leaves, True)`` entry, so that the walk draws them as one fan.
-        Leaves reached against the flow stay single entries.
+        A vertex whose neighbours are two or more leaves (degree-one
+        vertices), all reached with the flow, gets the one entry
+        ``(leaves, True)``, so that the walk draws them as one fan.  Every
+        other vertex keeps one entry per neighbour.
         """
         adj = self.adjacency()
         is_leaf = [len(entries) == 1 for entries in adj]
 
-        def grouped(entries):
-            if sum(f and is_leaf[w] for w, f in entries) < 2:
-                return tuple(entries)
-            out = []
-            for fan, run in groupby(entries, lambda e: e[1] and is_leaf[e[0]]):
-                run = tuple(run)
-                if fan and len(run) > 1:
-                    out.append((tuple(w for w, _ in run), True))
-                else:
-                    out.extend(run)
-            return tuple(out)
+        def fanned(entries):
+            if len(entries) > 1 and all(f and is_leaf[w] for w, f in entries):
+                return ((tuple(w for w, _ in entries), True),)
+            return tuple(entries)
 
-        return tuple(map(grouped, adj))
+        return tuple(map(fanned, adj))
 
 
 @dataclass
 class SampleSet:
-    """The observed point plus comparison draws, with provenance metadata."""
+    """The draws, and the marks of x0 and the draws (``None`` for iid and sequential)."""
 
-    observed: object
     draws: list
-    method: str
-    step_size: int
-    exchangeable: bool = True
     sigma: Optional[tuple] = None
-    m_star: Optional[int] = None
-
-    @property
-    def n_draws(self) -> int:
-        return len(self.draws)
 
 
 def sample_iid(
-    target_sampler: Callable[[np.random.Generator], object],
-    x0,
-    n_draws: int,
-    rng: np.random.Generator,
+    target: DiscreteDistribution, x0, n_draws: int, rng: np.random.Generator
 ) -> SampleSet:
-    """Draws taken i.i.d. from the target, independently of ``x0``."""
-    draws = [target_sampler(rng) for _ in range(n_draws)]
-    return SampleSet(observed=x0, draws=draws, method="iid", step_size=1)
+    """Draws taken i.i.d. from the target, independently of ``x0``, in one
+    ``sample_indices`` call: the stream of ``n_draws`` ``target.sample`` calls."""
+    states = target.states
+    return SampleSet([states[i] for i in target.sample_indices(rng, n_draws).tolist()])
 
 
 def sample_sequential(
@@ -149,20 +130,14 @@ def sample_sequential(
     """A single forward chain from ``x0``.
 
     Marginally stationary but not exchangeable, so the resulting p-value is
-    not guaranteed valid; flagged accordingly.
+    not guaranteed valid.
     """
     draws = []
     state = x0
     for _ in range(n_draws):
         state = pair.super_forward(state, rng)
         draws.append(state)
-    return SampleSet(
-        observed=x0,
-        draws=draws,
-        method="sequential",
-        step_size=pair.step_size,
-        exchangeable=False,
-    )
+    return SampleSet(draws)
 
 
 def sample_parallel(
@@ -174,8 +149,7 @@ def sample_parallel(
     reaches the unmarked hub, and one forward super-step out along each
     other arm gives a draw.
     """
-    tree = build_star_tree(n_draws, 1)
-    return replace(sample_tree(pair, x0, tree, rng), method="parallel")
+    return sample_tree(pair, x0, build_star_tree(n_draws, 1), rng)
 
 
 def sample_permuted_serial(
@@ -187,8 +161,7 @@ def sample_permuted_serial(
     ``m* = sigma(0)`` of the chain, and draw i is the chain state at position
     sigma(i).
     """
-    tree = build_path_tree(n_draws, 1)
-    return replace(sample_tree(pair, x0, tree, rng), method="permuted_serial")
+    return sample_tree(pair, x0, build_path_tree(n_draws, 1), rng)
 
 
 def sample_tree(
@@ -201,15 +174,14 @@ def sample_tree(
     the edge's flow and reverse against it.  The walk is depth-first from
     x0's vertex, children in edge order: any order gives the same law, and
     this one consumes the stream on a path tree exactly as a chain run
-    backwards from m* and then forwards would.  A run of consecutive leaf
-    children reached with the flow is drawn by one :meth:`KernelPair.fan`
+    backwards from m* and then forwards would.  A vertex whose neighbours are
+    all leaves reached with the flow draws them by one :meth:`KernelPair.fan`
     call, which for a matrix-backed pair moves the stream exactly as the
     single forward super-steps would.
     """
     sigma = tuple(rng.permutation(tree.n_draws + 1).tolist())
-    m_star = sigma[0]
     marks = tree.marks
-    root = marks[m_star]
+    root = marks[sigma[0]]
     neighbors = tree._neighbors
     forward, reverse = pair.super_forward, pair.super_reverse
     y = [None] * tree.vertex_count
@@ -230,15 +202,7 @@ def sample_tree(
         for w, f in reversed(neighbors[v]):
             if w != u:
                 stack.append((w, v, f))
-    draws = [y[marks[s]] for s in sigma[1:]]
-    return SampleSet(
-        observed=x0,
-        draws=draws,
-        method="tree",
-        step_size=pair.step_size,
-        sigma=sigma,
-        m_star=m_star,
-    )
+    return SampleSet([y[marks[s]] for s in sigma[1:]], sigma)
 
 
 @lru_cache(maxsize=64)

@@ -118,6 +118,11 @@ class TestBinaryMatrix:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             BinaryMatrix([[0, 2]])
+        # Values are checked before the int8 cast, which would truncate them.
+        for entries in ([[0.5, 1], [1, 0]], [[1.7, 0]], [[-0.5, 1]], [["0", "1"]]):
+            with pytest.raises(ValueError):
+                BinaryMatrix(entries)
+        assert BinaryMatrix([[1.0, 0.0], [True, False]]) == BinaryMatrix([[1, 0], [1, 0]])
 
     def test_equality_and_hash(self):
         a = BinaryMatrix([[1, 0], [0, 1]])
@@ -379,6 +384,13 @@ class TestBinaryMatrixFormat:
             parse_binary_matrix("1 2\n1\n")
         with pytest.raises(MatrixFormatError, match="line 3"):
             parse_binary_matrix("2 2\n1 0\nx 1\n")
+        with pytest.raises(MatrixFormatError, match="line 3"):
+            parse_binary_matrix("2 2\n0 1\n1 2\n")
+        with pytest.raises(MatrixFormatError, match="line 2"):
+            parse_binary_matrix("1 2\n-1 0\n")
+        for header in ("0 0\n", "0 2\n", "-1 2\n", "1 2 3\n1 0\n"):
+            with pytest.raises(MatrixFormatError, match="line 1"):
+                parse_binary_matrix(header)
         with pytest.raises(MatrixFormatError):
             parse_binary_matrix("")
 
@@ -390,6 +402,19 @@ class TestPermutationChain:
             make_permutation_state((0, 0, 1), q)
         with pytest.raises(ValueError):
             make_permutation_state((0, 1, 2), np.full((3, 3), np.nan))
+        # Entries are integers, not truncated floats or strings.
+        for perm in ([0.9, 1, 2], [0, 1.5, 2], [0.0, 1.0, 2.0], ["0", "1", "2"]):
+            with pytest.raises(ValueError):
+                make_permutation_state(perm, q)
+        assert make_permutation_state(np.arange(3), q).perm == (0, 1, 2)
+        # The table is square over the slots; cpt_pair checks it too.
+        for table in (np.zeros((3, 4)), np.zeros((4, 3)), np.zeros(3)):
+            with pytest.raises(ValueError):
+                make_permutation_state((0, 1, 2), table)
+            with pytest.raises(ValueError):
+                cpt_pair(table)
+        with pytest.raises(ValueError):
+            cpt_pair(np.full((3, 3), np.inf))
 
     def test_log_weight_cached_correctly(self, rng):
         q = rng.standard_normal((4, 4))

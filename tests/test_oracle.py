@@ -33,8 +33,10 @@ from exmcmc.samplers import (
     build_path_tree,
     build_split_star,
     build_star_tree,
+    sample_iid,
     sample_parallel,
     sample_permuted_serial,
+    sample_sequential,
     sample_tree,
 )
 from test_kernel import random_chain, random_units
@@ -214,6 +216,32 @@ class TestSamplersMatchTheirLaws:
         def draw(rng):
             x0 = target.sample(rng)
             out = sample_permuted_serial(pair, x0, 2, rng)
+            return (x0, *out.draws)
+
+        self._check(self._empirical(draw, self.N), law, self.N)
+
+    def test_sequential_sampler(self, drift_cycle):
+        """On the non-reversible drift cycle the sequential law is not
+        exchangeable; the sampler still matches it."""
+        kernel, target = drift_cycle
+        pair = KernelPair.from_discrete(kernel, target, 1)
+        law = exact_joint("sequential", kernel, target, n_draws=2, step=1)
+        assert exchangeability_distance(law) > 0.1
+
+        def draw(rng):
+            x0 = target.sample(rng)
+            out = sample_sequential(pair, x0, 2, rng)
+            return (x0, *out.draws)
+
+        self._check(self._empirical(draw, self.N), law, self.N)
+
+    def test_iid_sampler(self, skewed_walk):
+        kernel, target = skewed_walk
+        law = exact_joint("iid", kernel, target, n_draws=2)
+
+        def draw(rng):
+            x0 = target.sample(rng)
+            out = sample_iid(target, x0, 2, rng)
             return (x0, *out.draws)
 
         self._check(self._empirical(draw, self.N), law, self.N)

@@ -22,8 +22,9 @@ from exmcmc.samplers import (
     sample_tree,
 )
 
-# Vertex 0 has three reverse-flow leaves, stepped one by one, and a fan of two
-# forward-flow leaves; every leaf is marked, so the root is often a leaf.
+# Vertex 0 has three reverse-flow leaves and two forward-flow leaves; its
+# neighbours are mixed, so each is stepped one by one.  Every leaf is marked,
+# so the root is often a leaf.
 LEAF_FANS = MarkedTree(6, ((1, 0), (2, 0), (3, 0), (0, 4), (0, 5)), (1, 2, 3, 4, 5, 0))
 
 
@@ -111,30 +112,36 @@ class TestTreeBuilders:
 class TestSampleSets:
     def test_iid_metadata(self, rng):
         _, target = fixtures.lazy_walk_skewed()
-        out = sample_iid(target.sample, "a", 5, rng)
-        assert out.method == "iid"
-        assert out.n_draws == 5
-        assert out.exchangeable
+        out = sample_iid(target, "a", 5, rng)
+        assert len(out.draws) == 5
+        assert out.sigma is None
+
+    def test_iid_is_one_draw_of_target_samples(self):
+        """One ``sample_indices`` call gives the states of n ``target.sample``
+        calls and leaves the same next uniform."""
+        for chain in ("lazy_walk_skewed", "drift_cycle_skewed"):
+            _, target = getattr(fixtures, chain)()
+            for seed in range(20):
+                rng_a, rng_b = substream(9, seed), substream(9, seed)
+                out = sample_iid(target, "a", 7, rng_a)
+                assert out.draws == [target.sample(rng_b) for _ in range(7)]
+                assert all(type(d) is str for d in out.draws)
+                assert rng_a.random() == rng_b.random()
 
     def test_sequential_flagged_not_exchangeable(self, skewed_pair, rng):
         out = sample_sequential(skewed_pair, "a", 4, rng)
-        assert out.method == "sequential"
-        assert not out.exchangeable
-        assert out.n_draws == 4
+        assert len(out.draws) == 4
+        assert out.sigma is None
 
     def test_parallel_records_permutation(self, skewed_pair, rng):
         out = sample_parallel(skewed_pair, "a", 4, rng)
-        assert out.method == "parallel"
-        assert out.exchangeable
+        assert len(out.draws) == 4
         assert sorted(out.sigma) == list(range(5))
-        assert out.m_star == out.sigma[0]
 
     def test_permuted_serial_records_permutation(self, skewed_pair, rng):
         out = sample_permuted_serial(skewed_pair, "a", 4, rng)
-        assert out.method == "permuted_serial"
-        assert out.exchangeable
+        assert len(out.draws) == 4
         assert sorted(out.sigma) == list(range(5))
-        assert out.m_star == out.sigma[0]
 
     def test_zero_draws(self, skewed_pair, rng):
         assert sample_parallel(skewed_pair, "a", 0, rng).draws == []
@@ -158,7 +165,7 @@ class TestSampleSets:
     def test_tree_sampler_runs_every_tree(self, skewed_pair, rng):
         for tree in (build_path_tree(3, 1), build_star_tree(3, 1), build_split_star(2, 1, 1)):
             out = sample_tree(skewed_pair, "a", tree, rng)
-            assert out.n_draws == tree.n_draws
+            assert len(out.draws) == tree.n_draws
             assert all(d in ("a", "b", "c") for d in out.draws)
 
     @pytest.mark.parametrize("chain", ["lazy_walk_skewed", "drift_cycle_skewed"])
@@ -194,8 +201,9 @@ class TestSampleSets:
     def test_leaf_runs_are_grouped(self):
         star = build_star_tree(4, 1)
         assert star._neighbors[0] == (((1, 2, 3, 4, 5), True),)
-        # Only leaves reached with the flow are grouped.
-        assert LEAF_FANS._neighbors[0] == ((1, False), (2, False), (3, False), ((4, 5), True))
+        # A vertex fans only when all its neighbours are leaves reached with
+        # the flow; a mixed hub steps each child.
+        assert LEAF_FANS._neighbors[0] == ((1, False), (2, False), (3, False), (4, True), (5, True))
         path = build_path_tree(4, 1)
         assert all(type(w) is int for entries in path._neighbors for w, _ in entries)
         # A split star's hub fans only over one-vertex arms.
@@ -241,7 +249,7 @@ class TestSampleSets:
 
         pair.forward.spokes = counted
         out = sample_parallel(pair, x0, 7, substream(4))
-        assert calls == [7] and out.n_draws == 7
+        assert calls == [7] and len(out.draws) == 7
 
     def test_same_stream_reproduces(self, skewed_pair):
         a = sample_permuted_serial(skewed_pair, "a", 6, substream(3, 1))
@@ -270,7 +278,7 @@ class TestAverageWorkOfPermutedSerial:
         n = 20_000
         for i in range(n):
             out = sample_permuted_serial(skewed_pair, "a", m, substream(11, i))
-            counts[out.m_star] += 1
+            counts[out.sigma[0]] += 1
         p = 1 / (m + 1)
         se = np.sqrt(p * (1 - p) / n)
         assert np.all(np.abs(counts / n - p) <= 4 * se)
