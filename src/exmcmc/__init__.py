@@ -39,7 +39,6 @@ from .errors import (
     TreeValidationError,
     UnsupportedRepresentationError,
 )
-from .experiments import ExperimentConfig, ExperimentResult, RUNNERS
 from .kernel import (
     DiscreteDistribution,
     DiscreteKernel,

@@ -80,17 +80,11 @@ def mh_pm1_kernel(target: DiscreteDistribution) -> DiscreteKernel:
     """
     if np.any(target.mass <= 0):
         raise ValueError("mh_pm1_kernel requires strictly positive target masses")
-    n = len(target)
     f = target.mass
-    matrix = np.zeros((n, n))
-    for i in range(n):
-        up = 0.5 * min(1.0, f[i + 1] / f[i]) if i + 1 < n else 0.0
-        down = 0.5 * min(1.0, f[i - 1] / f[i]) if i - 1 >= 0 else 0.0
-        if i + 1 < n:
-            matrix[i, i + 1] = up
-        if i - 1 >= 0:
-            matrix[i, i - 1] = down
-        matrix[i, i] = 1.0 - up - down
+    up = 0.5 * np.minimum(1.0, f[1:] / f[:-1])  # i -> i + 1
+    down = 0.5 * np.minimum(1.0, f[:-1] / f[1:])  # i + 1 -> i
+    matrix = np.diag(up, 1) + np.diag(down, -1)
+    np.fill_diagonal(matrix, 1.0 - np.append(up, 0.0) - np.append(0.0, down))
     return DiscreteKernel(target.states, matrix)
 
 
@@ -367,7 +361,7 @@ def cpt_pair(q_log: np.ndarray, step_size: int = 1) -> KernelPair:
 
 def cpt_target(q_log: np.ndarray) -> DiscreteDistribution:
     """Exact permutation target law by full enumeration (small n only)."""
-    q_log = np.asarray(q_log, dtype=float)
+    q_log = _log_density_table(q_log)
     n = q_log.shape[0]
     perms = list(itertools.permutations(range(n)))
     logs = np.array([sum(q_log[p[j], j] for j in range(n)) for p in perms])
@@ -378,7 +372,7 @@ def cpt_target(q_log: np.ndarray) -> DiscreteDistribution:
 
 def cpt_transition_matrix(q_log: np.ndarray) -> DiscreteKernel:
     """Exact n!-state transition matrix of the swap chain (small n only)."""
-    q_log = np.asarray(q_log, dtype=float)
+    q_log = _log_density_table(q_log)
     n = q_log.shape[0]
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}

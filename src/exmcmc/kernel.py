@@ -40,30 +40,47 @@ def _pinned_cumsum(mass: np.ndarray) -> np.ndarray:
     return cum
 
 
-class DiscreteDistribution:
-    """A finite target law: ordered states with point masses."""
+def check_law(table) -> np.ndarray:
+    """``table`` as floats whose last axis holds laws: entries nonnegative, each
+    law summing to 1 within ``EXACT_TOL``.  NaN fails both tests, and +-inf one."""
+    table = np.asarray(table, dtype=float)
+    if not (table >= 0).all():
+        raise ValueError("masses must be nonnegative numbers")
+    deviation = float(np.max(np.abs(table.sum(axis=-1) - 1.0)))
+    if not deviation <= EXACT_TOL:
+        raise ValueError(f"masses must sum to 1, max deviation {deviation!r}")
+    return table
 
-    def __init__(self, states, mass):
+
+class _StateList:
+    """Ordered, unique state identifiers and their positions."""
+
+    def _over_states(self, states, table, ndim: int) -> np.ndarray:
+        """Keep ``states``; return ``table`` with ``ndim`` axes over them, checked as a law."""
         states = tuple(states)
-        mass = np.asarray(mass, dtype=float)
-        if mass.ndim != 1 or len(states) != mass.shape[0]:
-            raise DimensionMismatchError("states and mass must have equal length")
+        table = np.asarray(table, dtype=float)
+        shape = (len(states),) * ndim
+        if table.shape != shape:
+            raise DimensionMismatchError(f"table must be {shape} over the states, got {table.shape}")
         if len(set(states)) != len(states):
             raise ValueError("state identifiers must be unique")
-        if np.any(mass < 0):
-            raise ValueError("masses must be nonnegative")
-        if abs(mass.sum() - 1.0) > EXACT_TOL:
-            raise ValueError(f"masses must sum to 1, got {mass.sum()!r}")
         self.states = states
-        self.mass = mass
         self._index = {s: i for i, s in enumerate(states)}
-        self._cum = _pinned_cumsum(mass)
+        return check_law(table)
 
     def __len__(self) -> int:
         return len(self.states)
 
     def index(self, state) -> int:
         return self._index[state]
+
+
+class DiscreteDistribution(_StateList):
+    """A finite target law: ordered states with point masses."""
+
+    def __init__(self, states, mass):
+        self.mass = self._over_states(states, mass, 1)
+        self._cum = _pinned_cumsum(self.mass)
 
     def prob(self, state) -> float:
         return float(self.mass[self._index[state]])
@@ -75,40 +92,18 @@ class DiscreteDistribution:
         return self.states[int(np.searchsorted(self._cum, rng.random(), side="right"))]
 
 
-class DiscreteKernel:
+class DiscreteKernel(_StateList):
     """A finite-state transition kernel as a row-stochastic matrix."""
 
     def __init__(self, states, matrix):
-        states = tuple(states)
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape != (len(states), len(states)):
-            raise DimensionMismatchError("matrix must be square over the state list")
-        if len(set(states)) != len(states):
-            raise ValueError("state identifiers must be unique")
-        if np.any(matrix < 0):
-            raise ValueError("transition probabilities must be nonnegative")
-        rows = matrix.sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > EXACT_TOL:
-            raise ValueError(f"rows must sum to 1, max deviation {np.max(np.abs(rows - 1.0))!r}")
-        self.states = states
-        self.matrix = matrix
-        self._index = {s: i for i, s in enumerate(states)}
-        self._powers = {1: matrix}
+        self.matrix = self._over_states(states, matrix, 2)
         self._cums = {}
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def index(self, state) -> int:
-        return self._index[state]
 
     def power(self, steps: int) -> np.ndarray:
         """Matrix of the ``steps``-step kernel."""
         if steps < 1:
             raise ValueError("steps must be >= 1")
-        if steps not in self._powers:
-            self._powers[steps] = np.linalg.matrix_power(self.matrix, steps)
-        return self._powers[steps]
+        return np.linalg.matrix_power(self.matrix, steps)
 
     def _cumulative(self, steps: int) -> np.ndarray:
         if steps not in self._cums:

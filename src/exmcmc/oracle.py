@@ -18,7 +18,7 @@ import numpy as np
 
 from .chains import BinaryMatrix
 from .errors import TractabilityError
-from .kernel import DiscreteDistribution, DiscreteKernel, reversal
+from .kernel import DiscreteDistribution, DiscreteKernel, check_law, reversal
 from .pvalue import exact_level
 from .samplers import MarkedTree
 
@@ -35,8 +35,7 @@ class JointLaw:
     def __post_init__(self):
         if len(set(self.support)) != len(self.support):
             raise ValueError("support tuples must be unique")
-        if abs(sum(self.mass) - 1.0) > 1e-12:
-            raise ValueError(f"masses must sum to 1, got {sum(self.mass)!r}")
+        check_law(self.mass)
 
     @property
     def n_draws(self) -> int:

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidStatisticError, UnsupportedRepresentationError
-from .kernel import DiscreteDistribution, DiscreteKernel, KernelPair
+from .kernel import DiscreteDistribution, DiscreteKernel, KernelPair, check_law
 
 
 def _check_finite(values) -> None:
@@ -68,10 +68,9 @@ def p_analytic(
         raise UnsupportedRepresentationError(
             "p_analytic requires an enumerable discrete target"
         )
-    _check_finite([t0])
-    return float(
-        sum(m for s, m in zip(target.states, target.mass) if statistic(s) >= t0)
-    )
+    stats = [statistic(s) for s in target.states]
+    _check_finite([t0, *stats])
+    return float(sum(m for v, m in zip(stats, target.mass) if v >= t0))
 
 
 def sqrt_epsilon(p) -> float:
@@ -93,8 +92,7 @@ class AtomLaw:
     probs: tuple
 
     def __post_init__(self):
-        if abs(sum(self.probs) - 1.0) > 1e-12:
-            raise ValueError("atom probabilities must sum to 1")
+        check_law(self.probs)
 
 
 def p_infinity_discrete(
@@ -113,7 +111,9 @@ def p_infinity_discrete(
     fwd = kernel.power(L)
     back = rev.power(L)
     t0 = statistic(x0)
-    tail = np.array([statistic(s) >= t0 for s in kernel.states], dtype=float)
+    stats = [statistic(s) for s in kernel.states]
+    _check_finite([t0, *stats])
+    tail = np.array([v >= t0 for v in stats], dtype=float)
     i0 = kernel.index(x0)
     values = []
     probs = []

@@ -415,6 +415,13 @@ class TestPermutationChain:
                 cpt_pair(table)
         with pytest.raises(ValueError):
             cpt_pair(np.full((3, 3), np.inf))
+        # The exact law and matrix read the table through the same check.
+        nan_table = np.zeros((3, 3))
+        nan_table[1, 2] = np.nan
+        for table in (np.arange(12.0).reshape(3, 4), np.zeros((4, 3)), nan_table):
+            for exact in (cpt_target, cpt_transition_matrix):
+                with pytest.raises(ValueError):
+                    exact(table)
 
     def test_log_weight_cached_correctly(self, rng):
         q = rng.standard_normal((4, 4))

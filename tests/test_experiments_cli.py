@@ -344,6 +344,19 @@ class TestExitCodes:
         expected = "".join(f"check failed: {message}\n" for message in FAILED_GATE_MESSAGES)
         assert capsys.readouterr().err == expected
 
+    def test_package_import_leaves_the_harness_out(self):
+        src = str(Path(exmcmc.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        code = "import sys, exmcmc; print('exmcmc.experiments' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_console_entry_point(self, tmp_path):
         # The child interpreter imports the package under test, also from an
         # uninstalled checkout.

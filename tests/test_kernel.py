@@ -50,8 +50,10 @@ random_units = st.lists(
 
 class TestDiscreteDistribution:
     def test_rejects_negative_mass(self):
-        with pytest.raises(ValueError):
-            DiscreteDistribution(("a", "b"), [-0.1, 1.1])
+        # NaN and +inf fail the one law check too.
+        for mass in ([-0.1, 1.1], [np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]):
+            with pytest.raises(ValueError):
+                DiscreteDistribution(("a", "b"), mass)
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
@@ -81,8 +83,10 @@ class TestDiscreteKernel:
             DiscreteKernel(("a", "b"), [[0.5, 0.4], [0.2, 0.8]])
 
     def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError):
-            DiscreteKernel(("a", "b"), [[1.1, -0.1], [0.2, 0.8]])
+        # NaN and +inf fail the one law check too.
+        for row in ([1.1, -0.1], [np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]):
+            with pytest.raises(ValueError):
+                DiscreteKernel(("a", "b"), [row, [0.2, 0.8]])
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatchError):

@@ -52,6 +52,9 @@ class TestJointLaw:
     def test_validates_mass(self):
         with pytest.raises(ValueError):
             JointLaw((("a",),), (0.5,))
+        for mass in ((1.5, -0.5), (float("nan"), 1.0), (float("inf"), 0.0)):
+            with pytest.raises(ValueError):
+                JointLaw((("a",), ("b",)), mass)
 
     def test_validates_unique_support(self):
         with pytest.raises(ValueError):

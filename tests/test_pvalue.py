@@ -95,6 +95,12 @@ class TestPAnalytic:
         with pytest.raises(UnsupportedRepresentationError):
             p_analytic(object(), lambda s: s, 0.0)
 
+    def test_nan_statistic_rejected(self):
+        """A NaN value is an error, as in ``p_mc``, not a state left out of the tail."""
+        _, target = fixtures.lazy_walk_uniform()
+        with pytest.raises(InvalidStatisticError):
+            p_analytic(target, lambda s: math.nan if s == "c" else 1.0, 0.0)
+
     def test_bimodal_rejection_region_boundary(self):
         """The 5% rejection region of the bimodal target starts at 84 under
         inclusive tail counting (P(T >= t0)); under the strict tail it starts
@@ -134,6 +140,12 @@ class TestSqrtEpsilon:
 
 
 class TestPInfinityDiscrete:
+    def test_nan_statistic_rejected(self, skewed_pair):
+        """A NaN value, at x0 or at another state, is an error, as in ``p_mc``."""
+        for bad in ("a", "c"):
+            with pytest.raises(InvalidStatisticError):
+                p_infinity_discrete(skewed_pair, lambda s: math.nan if s == bad else 1.0, "a")
+
     def test_identity_kernel_point_mass_at_one(self, rng):
         from exmcmc.kernel import DiscreteKernel
 
@@ -180,6 +192,11 @@ class TestPInfinityDiscrete:
     def test_atom_law_validates_mass(self):
         with pytest.raises(ValueError):
             AtomLaw((0.5,), (0.5,))
+        for probs in ((1.5, -0.5), (math.nan, 1.0), (math.inf, 0.0)):
+            with pytest.raises(ValueError):
+                AtomLaw((0.25, 0.5), probs)
+        with pytest.raises(ValueError):
+            AtomLaw((0.5,), (math.nan,))
 
 
 class TestNormal:
