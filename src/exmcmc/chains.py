@@ -40,17 +40,23 @@ class Ar1Kernel:
     def pair(self, step_size: int = 1) -> KernelPair:
         return KernelPair(self.step, self.step, step_size=step_size, reversible=True)
 
+    def lag(self, step: int) -> tuple:
+        """``(rho**L, sqrt(1 - rho**(2L)))``: L steps are one step of correlation ``rho**L``."""
+        if step < 1:
+            raise ValueError("step must be >= 1")
+        rho_l = self.rho**step
+        return rho_l, math.sqrt(1.0 - rho_l * rho_l)
+
     def spokes(
         self, x_star, n: int | tuple, step_size: int, rng: np.random.Generator
     ) -> np.ndarray:
         """Vectorized batch of independent L-step draws from ``x_star``.
 
         ``n`` is the batch size or shape, and ``x_star`` (a float or an
-        array) broadcasts against it.  L steps compose to one autoregressive
-        draw with correlation ``rho**L``, so a super-step is one normal draw.
+        array) broadcasts against it.  By :meth:`lag`, a super-step is one normal draw.
         """
-        rho_l = self.rho**step_size
-        return rho_l * x_star + math.sqrt(1.0 - rho_l**2) * rng.standard_normal(n)
+        rho_l, scale = self.lag(step_size)
+        return rho_l * x_star + scale * rng.standard_normal(n)
 
 
 # -- Bimodal Metropolis-Hastings chain on {1..100} -------------------------
@@ -251,10 +257,10 @@ class PermutationState:
 
 
 def _log_density_table(q_log) -> np.ndarray:
-    """``q_log`` as a finite, square float table; anything else is a ValueError."""
+    """``q_log`` as a finite, square, nonempty float table; anything else is a ValueError."""
     q_log = np.asarray(q_log, dtype=float)
-    if q_log.ndim != 2 or q_log.shape[0] != q_log.shape[1]:
-        raise ValueError(f"q_log must be a square table, got shape {q_log.shape}")
+    if q_log.ndim != 2 or not q_log.shape[0] == q_log.shape[1] >= 1:
+        raise ValueError(f"q_log must be a nonempty square table, got shape {q_log.shape}")
     if not np.isfinite(q_log).all():
         raise ValueError("q_log must be finite everywhere")
     return q_log

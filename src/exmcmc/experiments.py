@@ -74,19 +74,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.reps is not None and self.reps < 1:
-            raise ConfigError("reps must be >= 1")
-        if self.n_draws is not None and self.n_draws < 1:
-            raise ConfigError("M (n_draws) must be >= 1")
-        if self.step is not None and self.step < 1:
-            raise ConfigError("step must be >= 1")
-        if not self.alphas:
-            raise ConfigError("alphas must not be empty")
+        for name, label in (("reps", "reps"), ("n_draws", "M (n_draws)"), ("step", "step")):
+            if (value := getattr(self, name)) is not None and value < 1:
+                raise ConfigError(f"{label} must be >= 1")
+        for name in ("alphas", "rho", "m_values"):
+            values = getattr(self, name)
+            if not values:
+                raise ConfigError(f"{name} must not be empty")
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} must be distinct, got {values}")
         for a in self.alphas:
             if not 0 < a < 1:
                 raise ConfigError(f"alpha values must lie in (0, 1), got {a!r}")
-        if not self.rho:
-            raise ConfigError("rho must not be empty")
         for r in self.rho:
             if not -1 < r < 1:
                 raise ConfigError(f"rho must lie in (-1, 1), got {r!r}")
@@ -98,14 +97,8 @@ class ExperimentConfig:
             raise ConfigError(f"rows and cols must be >= 2, got {self.rows}x{self.cols}")
         if self.n < 3:
             raise ConfigError(f"n must be >= 3, got {self.n}")
-        if not self.m_values:
-            raise ConfigError("m_values must not be empty")
         if any(m < 1 for m in self.m_values):
             raise ConfigError(f"m_values must all be >= 1, got {self.m_values}")
-        for name in ("alphas", "rho", "m_values"):
-            values = getattr(self, name)
-            if len(set(values)) != len(values):
-                raise ConfigError(f"{name} must be distinct, got {values}")
 
 
 @dataclass
@@ -166,8 +159,22 @@ def _binomial_se(rate: float, count: int) -> float:
     return math.sqrt(max(rate * (1.0 - rate), 1e-12) / count)
 
 
-def _check_batches(rejects: dict, reps: int, alpha: float, alt_floor: float) -> list:
-    """The null rate must keep the validity bound, the alternative's reach ``alt_floor``."""
+def _bimodal(step: int) -> tuple:
+    """The bimodal target and the pair of its +-1 MH chain at super-step ``step``."""
+    target = bimodal_target()
+    return target, KernelPair.from_discrete(mh_pm1_kernel(target), target, step)
+
+
+def _two_batches(name: str, config, reps: int, alt_floor: float, p_values) -> ExperimentResult:
+    """Rows ``(batch, rep, p, p <= alpha)`` from the ``(batch, rep, p)`` of ``p_values``: a null
+    and an alternative batch of ``reps`` tests each.  The null rate must keep the validity
+    bound, the alternative's reach ``alt_floor``."""
+    alpha, level = _one_alpha(config, name)
+    rows = []
+    rejects = Counter()
+    for batch, rep, p in p_values:
+        rejects[batch] += p <= level
+        rows.append((batch, rep, float(p), int(p <= level)))
     violations = []
     null_rate = rejects["null"] / reps
     if null_rate > alpha + 3 * _binomial_se(alpha, reps):
@@ -175,7 +182,7 @@ def _check_batches(rejects: dict, reps: int, alpha: float, alt_floor: float) -> 
     alt_rate = rejects["alternative"] / reps
     if alt_rate < alt_floor:
         violations.append(f"alternative rejection rate {alt_rate:.4f} below {alt_floor}")
-    return violations
+    return ExperimentResult(name, ("batch", "rep", "p_value", "reject"), rows, config, violations)
 
 
 # -- Bimodal rejection table ----------------------------------------------
@@ -188,9 +195,7 @@ def run_bimodal_table(config: ExperimentConfig) -> ExperimentResult:
     tests on the bimodal chain, split by which mode the data sits near."""
     reps = config.reps or 2500
     alpha, level = _one_alpha(config, "bimodal-table")
-    target = bimodal_target()
-    kernel = mh_pm1_kernel(target)
-    pair = KernelPair.from_discrete(kernel, target, config.step or 100)
+    target, pair = _bimodal(config.step or 100)
     m = config.n_draws or 99
 
     methods = ("standard", "parallel", "permuted_serial")
@@ -305,9 +310,7 @@ def run_consistency(config: ExperimentConfig) -> ExperimentResult:
     limiting-mixture spread, whose exact atoms are reported alongside.
     """
     reps = config.reps or 100
-    target = bimodal_target()
-    kernel = mh_pm1_kernel(target)
-    pair = KernelPair.from_discrete(kernel, target, config.step or 100)
+    target, pair = _bimodal(config.step or 100)
     x0 = _state_x0(config, target.states, 90)
     p_a = p_analytic(target, lambda s: s, x0)
 
@@ -359,42 +362,33 @@ def run_matrix_gof(config: ExperimentConfig) -> ExperimentResult:
     does not).  The alternative batch plants a column-pair association.
     """
     reps = config.reps or 500
-    alpha, level = _one_alpha(config, "matrix-gof")
     step = config.step or 50
     m = config.n_draws or 99
     pair = KernelPair(checkerboard_swap_step, checkerboard_swap_step, step, reversible=True)
 
-    gen_rng = substream(config.seed, 10**6)
-    base = BinaryMatrix((gen_rng.random((config.rows, config.cols)) < 0.4).astype(int))
-    current = checkerboard_swap_run(base, 100_000, gen_rng)
-
-    rows = []
-    rejects = {"null": 0, "alternative": 0}
-
-    def test(batch: str, rep: int, x0: BinaryMatrix, rng: np.random.Generator) -> None:
+    def test(x0: BinaryMatrix, rng: np.random.Generator):
         ser = sample_permuted_serial(pair, x0, m, rng)
-        p = p_mc(association_statistic(x0), [association_statistic(d) for d in ser.draws])
-        rejects[batch] += p <= level
-        rows.append((batch, rep, float(p), int(p <= level)))
+        return p_mc(association_statistic(x0), [association_statistic(d) for d in ser.draws])
 
-    for rep in range(reps):
-        current = checkerboard_swap_run(current, 2000, gen_rng)
-        test("null", rep, current, substream(config.seed, rep))
+    def p_values():
+        gen_rng = substream(config.seed, 10**6)
+        base = BinaryMatrix((gen_rng.random((config.rows, config.cols)) < 0.4).astype(int))
+        current = checkerboard_swap_run(base, 100_000, gen_rng)
+        for rep in range(reps):
+            current = checkerboard_swap_run(current, 2000, gen_rng)
+            yield "null", rep, test(current, substream(config.seed, rep))
 
-    for rep in range(reps):
-        rng = substream(config.seed, reps + rep)
-        grid = (rng.random((config.rows, config.cols)) < 0.35).astype(int)
-        # Plant an association block: columns 1..3 copy column 0 at the
-        # calibrated rate, concentrating shared rows on a few column pairs.
-        for col in range(1, min(4, config.cols)):
-            copy_mask = rng.random(config.rows) < DEFAULT_MATRIX_EFFECT
-            grid[copy_mask, col] = grid[copy_mask, 0]
-        test("alternative", rep, BinaryMatrix(grid), rng)
+        for rep in range(reps):
+            rng = substream(config.seed, reps + rep)
+            grid = (rng.random((config.rows, config.cols)) < 0.35).astype(int)
+            # Plant an association block: columns 1..3 copy column 0 at the
+            # calibrated rate, concentrating shared rows on a few column pairs.
+            for col in range(1, min(4, config.cols)):
+                copy_mask = rng.random(config.rows) < DEFAULT_MATRIX_EFFECT
+                grid[copy_mask, col] = grid[copy_mask, 0]
+            yield "alternative", rep, test(BinaryMatrix(grid), rng)
 
-    violations = _check_batches(rejects, reps, alpha, 0.5)
-    return ExperimentResult(
-        "matrix-gof", ("batch", "rep", "p_value", "reject"), rows, config, violations
-    )
+    return _two_batches("matrix-gof", config, reps, 0.5, p_values())
 
 
 # -- Conditional permutation test demo -------------------------------------
@@ -410,41 +404,33 @@ def run_cpt_demo(config: ExperimentConfig) -> ExperimentResult:
     permutation chain.
     """
     reps = config.reps or 500
-    alpha, level = _one_alpha(config, "cpt-demo")
     n = config.n
     step = config.step or 2 * n
     m = config.n_draws or 99
 
-    rows = []
-    rejects = {"null": 0, "alternative": 0}
-    for batch, dependent in (("null", False), ("alternative", True)):
-        for rep in range(reps):
-            rng = substream(config.seed, int(dependent), rep)
-            z = rng.standard_normal(n)
-            x = z + rng.standard_normal(n)
-            noise = rng.standard_normal(n)
-            y = DEFAULT_CPT_BETA * x + noise if dependent else z + noise
+    def p_values():
+        for batch, dependent in (("null", False), ("alternative", True)):
+            for rep in range(reps):
+                rng = substream(config.seed, int(dependent), rep)
+                z = rng.standard_normal(n)
+                x = z + rng.standard_normal(n)
+                noise = rng.standard_normal(n)
+                y = DEFAULT_CPT_BETA * x + noise if dependent else z + noise
 
-            q_log = -0.5 * (x[:, None] - z[None, :]) ** 2
-            y_res = y - np.polyval(np.polyfit(z, y, 1), z)
+                q_log = -0.5 * (x[:, None] - z[None, :]) ** 2
+                y_res = y - np.polyval(np.polyfit(z, y, 1), z)
 
-            def statistic(state) -> float:
-                perm = np.asarray(state.perm)
-                res = x[perm] - z
-                return abs(float(np.corrcoef(res, y_res)[0, 1]))
+                def statistic(state) -> float:
+                    perm = np.asarray(state.perm)
+                    res = x[perm] - z
+                    return abs(float(np.corrcoef(res, y_res)[0, 1]))
 
-            s0 = make_permutation_state(range(n), q_log)
-            pair = cpt_pair(q_log, step)
-            par = sample_parallel(pair, s0, m, rng)
-            p = p_mc(statistic(s0), [statistic(d) for d in par.draws])
-            reject = p <= level
-            rejects[batch] += reject
-            rows.append((batch, rep, float(p), int(reject)))
+                s0 = make_permutation_state(range(n), q_log)
+                pair = cpt_pair(q_log, step)
+                par = sample_parallel(pair, s0, m, rng)
+                yield batch, rep, p_mc(statistic(s0), [statistic(d) for d in par.draws])
 
-    violations = _check_batches(rejects, reps, alpha, 0.9)
-    return ExperimentResult(
-        "cpt-demo", ("batch", "rep", "p_value", "reject"), rows, config, violations
-    )
+    return _two_batches("cpt-demo", config, reps, 0.9, p_values())
 
 
 # -- Square-root correction for sequential sampling ------------------------
@@ -459,9 +445,7 @@ def run_sqrt_epsilon_demo(config: ExperimentConfig) -> ExperimentResult:
     only defined for reversible kernels and is refused otherwise.
     """
     reps = config.reps or 10_000
-    target = bimodal_target()
-    kernel = mh_pm1_kernel(target)
-    pair = KernelPair.from_discrete(kernel, target, config.step or 100)
+    target, pair = _bimodal(config.step or 100)
     if not pair.reversible:
         raise NotReversibleError("the sqrt-epsilon correction requires a reversible kernel")
     m = config.n_draws or 99
@@ -507,14 +491,13 @@ def run_pinfty(config: ExperimentConfig) -> ExperimentResult:
         kernel, target = fixtures.two_state()
         x0 = _state_x0(config, kernel.states, 1)
         statistic = fixtures.state_index_statistic(kernel)
+        pair = KernelPair.from_discrete(kernel, target, config.step or 1)
     elif config.chain == "bimodal":
-        target = bimodal_target()
-        kernel = mh_pm1_kernel(target)
+        target, pair = _bimodal(config.step or 1)
         x0 = _state_x0(config, target.states, 90)
         statistic = lambda s: s
     else:
         raise ConfigError(f"unknown chain {config.chain!r}")
-    pair = KernelPair.from_discrete(kernel, target, config.step or 1)
     atoms = p_infinity_discrete(pair, statistic, x0)
     rows = [
         (i, round(v, 12), round(p, 12))

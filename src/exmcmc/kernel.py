@@ -22,8 +22,9 @@ from .errors import (
 )
 
 # Tolerance for exact algebraic identities on matrices; accumulation through
-# repeated matrix products is checked at 1e-10 instead.
+# repeated matrix products is checked at PRODUCT_TOL instead.
 EXACT_TOL = 1e-12
+PRODUCT_TOL = 1e-10
 
 
 def _pinned_cumsum(mass: np.ndarray) -> np.ndarray:
@@ -58,6 +59,8 @@ class _StateList:
     def _over_states(self, states, table, ndim: int) -> np.ndarray:
         """Keep ``states``; return ``table`` with ``ndim`` axes over them, checked as a law."""
         states = tuple(states)
+        if not states:
+            raise ValueError("a law needs at least one state")
         table = np.asarray(table, dtype=float)
         shape = (len(states),) * ndim
         if table.shape != shape:
@@ -100,10 +103,14 @@ class DiscreteKernel(_StateList):
         self._cums = {}
 
     def power(self, steps: int) -> np.ndarray:
-        """Matrix of the ``steps``-step kernel."""
+        """Matrix of the ``steps``-step kernel; its rows must sum to 1 within ``PRODUCT_TOL``."""
         if steps < 1:
             raise ValueError("steps must be >= 1")
-        return np.linalg.matrix_power(self.matrix, steps)
+        power = np.linalg.matrix_power(self.matrix, steps)
+        deviation = float(np.max(np.abs(power.sum(axis=1) - 1.0)))
+        if not deviation <= PRODUCT_TOL:
+            raise ValueError(f"the L = {steps} power's rows sum to 1 only within {deviation:.1e}")
+        return power
 
     def _cumulative(self, steps: int) -> np.ndarray:
         if steps not in self._cums:

@@ -142,23 +142,9 @@ def _exact_joint_tree(
     pi = target.mass
     fwd = kernel.power(step)
     back = reversal(kernel, target).power(step)
-    adj = tree.adjacency()
 
     # Rooted edge orientation per possible starting mark.
-    plans = {}
-    for m_star in range(m + 1):
-        root = tree.marks[m_star]
-        order = []
-        seen = {root}
-        frontier = [root]
-        while frontier:
-            u = frontier.pop()
-            for v, with_flow in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    order.append((u, v, with_flow))
-                    frontier.append(v)
-        plans[m_star] = order
+    plans = {m_star: tree.rooted_edges(root) for m_star, root in enumerate(tree.marks)}
 
     perms = list(itertools.permutations(range(m + 1)))
     weight = 1.0 / len(perms)

@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .chains import Ar1Kernel
 from .errors import InvalidStatisticError, UnsupportedRepresentationError
 from .kernel import DiscreteDistribution, DiscreteKernel, KernelPair, check_law
 
@@ -137,12 +138,8 @@ def p_infinity_ar1(x0: float, rho: float, step: int, z_star: float) -> float:
     ``1 - Phi(sqrt(1 - rho^(2L)) * x0 - rho^L * z_star)`` where ``z_star`` is
     the standard-normal innovation behind the hub draw.
     """
-    if not -1 < rho < 1:
-        raise ValueError("rho must lie in (-1, 1)")
-    if step < 1:
-        raise ValueError("step must be >= 1")
-    rho_l = rho**step
-    return 1.0 - normal_cdf(math.sqrt(1.0 - rho_l * rho_l) * x0 - rho_l * z_star)
+    rho_l, shrink = Ar1Kernel(rho).lag(step)
+    return 1.0 - normal_cdf(shrink * x0 - rho_l * z_star)
 
 
 def power_parallel_limit(mu: float, alpha: float, rho: float, step: int) -> float:
@@ -153,6 +150,5 @@ def power_parallel_limit(mu: float, alpha: float, rho: float, step: int) -> floa
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    rho_l = rho**step
-    shrink = math.sqrt(1.0 - rho_l * rho_l)
+    _, shrink = Ar1Kernel(rho).lag(step)
     return 1.0 - normal_cdf(normal_quantile(1.0 - alpha) - shrink * mu)

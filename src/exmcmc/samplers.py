@@ -55,16 +55,7 @@ class MarkedTree:
                 f"a tree on {n} vertices needs {n - 1} edges, got {len(self.edges)}"
             )
         # n-1 distinct undirected edges + connectivity => acyclic.
-        reached = {0}
-        frontier = [0]
-        adj = self.adjacency()
-        while frontier:
-            u = frontier.pop()
-            for v, _ in adj[u]:
-                if v not in reached:
-                    reached.add(v)
-                    frontier.append(v)
-        if len(reached) != n:
+        if len(self.rooted_edges(0)) != n - 1:
             raise TreeValidationError("tree is disconnected")
         if len(set(self.marks)) != len(self.marks):
             raise TreeValidationError("marks must be injective")
@@ -86,6 +77,21 @@ class MarkedTree:
             adj[u].append((v, True))
             adj[v].append((u, False))
         return adj
+
+    def rooted_edges(self, root: int) -> list:
+        """``(parent, child, with_flow)`` for each edge reached from ``root``, parents first."""
+        adj = self.adjacency()
+        order = []
+        seen = {root}
+        frontier = [root]
+        while frontier:
+            u = frontier.pop()
+            for v, with_flow in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    order.append((u, v, with_flow))
+                    frontier.append(v)
+        return order
 
     @cached_property
     def _neighbors(self) -> tuple:
@@ -120,6 +126,8 @@ def sample_iid(
 ) -> SampleSet:
     """Draws taken i.i.d. from the target, independently of ``x0``, in one
     ``sample_indices`` call: the stream of ``n_draws`` ``target.sample`` calls."""
+    if n_draws < 0:
+        raise ValueError(f"n_draws must be >= 0, got {n_draws}")
     states = target.states
     return SampleSet([states[i] for i in target.sample_indices(rng, n_draws).tolist()])
 
@@ -132,6 +140,8 @@ def sample_sequential(
     Marginally stationary but not exchangeable, so the resulting p-value is
     not guaranteed valid.
     """
+    if n_draws < 0:
+        raise ValueError(f"n_draws must be >= 0, got {n_draws}")
     draws = []
     state = x0
     for _ in range(n_draws):
@@ -210,14 +220,9 @@ def build_path_tree(n_draws: int, step: int) -> MarkedTree:
     """Path of M+1 marked vertices with L-1 unmarked vertices between marks.
 
     The tree method on this tree has the same law as the permuted serial
-    method with step size L.
+    method with step size L.  It is a split star with one arm.
     """
-    if n_draws < 0 or step < 1:
-        raise ValueError("n_draws must be >= 0 and step >= 1")
-    total = n_draws * step + 1
-    edges = tuple((i, i + 1) for i in range(total - 1))
-    marks = tuple(i * step for i in range(n_draws + 1))
-    return MarkedTree(total, edges, marks)
+    return build_split_star(1, n_draws, step)
 
 
 @lru_cache(maxsize=64)
@@ -236,10 +241,11 @@ def build_split_star(arms: int, draws_per_arm: int, step: int) -> MarkedTree:
     """A marked hub with ``arms`` serial chains of ``draws_per_arm`` marks each.
 
     Runs several permuted-serial-style chains from a common hub; total mark
-    count is ``arms * draws_per_arm + 1``.
+    count is ``arms * draws_per_arm + 1``.  With no draws per arm it is the
+    bare marked hub.
     """
-    if arms < 1 or draws_per_arm < 1 or step < 1:
-        raise ValueError("arms, draws_per_arm and step must be >= 1")
+    if arms < 1 or draws_per_arm < 0 or step < 1:
+        raise ValueError("arms and step must be >= 1, and draws_per_arm >= 0")
     edges = []
     marks = [0]
     next_vertex = 1

@@ -58,6 +58,18 @@ class TestAr1:
         assert draws.mean() == pytest.approx(rho_l * x_star, abs=0.01)
         assert draws.var() == pytest.approx(1 - rho_l**2, abs=0.02)
 
+    def test_lag_is_the_l_step_closed_form(self, rng):
+        """``lag`` gives ``(rho**L, sqrt(1 - rho**(2L)))``; L = 0 is an error, for
+        ``spokes`` too."""
+        rho_l, scale = Ar1Kernel(0.6).lag(3)
+        assert rho_l == 0.6**3
+        assert scale == math.sqrt(1.0 - 0.6**6)
+        for step in (0, -1):
+            with pytest.raises(ValueError, match="step must be >= 1"):
+                Ar1Kernel(0.6).lag(step)
+            with pytest.raises(ValueError, match="step must be >= 1"):
+                Ar1Kernel(0.6).spokes(1.0, 3, step, rng)
+
     def test_pair_is_reversible_flagged(self):
         pair = Ar1Kernel(0.5).pair(step_size=4)
         assert pair.reversible
@@ -422,6 +434,11 @@ class TestPermutationChain:
             for exact in (cpt_target, cpt_transition_matrix):
                 with pytest.raises(ValueError):
                     exact(table)
+        # A table needs at least one slot, at every entry point.
+        for build in (lambda q: make_permutation_state((), q), cpt_pair, cpt_target,
+                      cpt_transition_matrix):
+            with pytest.raises(ValueError, match="nonempty square table"):
+                build(np.zeros((0, 0)))
 
     def test_log_weight_cached_correctly(self, rng):
         q = rng.standard_normal((4, 4))

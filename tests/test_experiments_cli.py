@@ -285,6 +285,12 @@ class TestExitCodes:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(",")[0] for line in lines[2:4]] == ["0.01", "0.05"]
 
+    @pytest.mark.parametrize("command", ["sqrt-eps", "bimodal-table"])
+    def test_step_past_the_power_check(self, command, capsys):
+        """At L = 10**18 the bimodal kernel's power is no law; the run stops."""
+        assert main([command, "--L", str(10**18), "--reps", "1", "--check"]) == 2
+        assert f"error: the L = {10**18} power's rows sum to 1" in capsys.readouterr().err
+
     def test_x0_outside_bimodal_states(self, capsys):
         assert main(["consistency", "--x0", "500", "--reps", "1", "--m-values", "5"]) == 2
         assert "x0 must be a state of the chain (1..100), got 500.0" in capsys.readouterr().err

@@ -62,6 +62,8 @@ class TestDiscreteDistribution:
     def test_rejects_duplicate_states(self):
         with pytest.raises(ValueError):
             DiscreteDistribution(("a", "a"), [0.5, 0.5])
+        with pytest.raises(ValueError, match="at least one state"):
+            DiscreteDistribution((), [])
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -81,6 +83,8 @@ class TestDiscreteKernel:
     def test_rejects_non_stochastic_rows(self):
         with pytest.raises(ValueError):
             DiscreteKernel(("a", "b"), [[0.5, 0.4], [0.2, 0.8]])
+        with pytest.raises(ValueError, match="at least one state"):
+            DiscreteKernel((), np.zeros((0, 0)))
 
     def test_rejects_negative_entries(self):
         # NaN and +inf fail the one law check too.
@@ -95,6 +99,18 @@ class TestDiscreteKernel:
     def test_power_one_is_identity_operation(self, uniform_walk):
         kernel, _ = uniform_walk
         assert np.array_equal(kernel.power(1), kernel.matrix)
+
+    def test_power_that_is_no_law_is_rejected(self, rng):
+        """Rounding in a long product drifts the rows of the bimodal kernel off 1
+        (by about 6e-12 at L = 10**6 and 5e-9 at L = 10**9): past 1e-10 the
+        power is an error naming L, and so is a draw from it."""
+        kernel = mh_pm1_kernel(bimodal_target())
+        assert np.allclose(kernel.power(10**6).sum(axis=1), 1.0, rtol=0, atol=1e-10)
+        for steps in (10**9, 10**15, 10**18):
+            with pytest.raises(ValueError, match=f"the L = {steps} power"):
+                kernel.power(steps)
+        with pytest.raises(ValueError, match=f"the L = {10**18} power"):
+            kernel.run(50, 10**18, rng)
 
     def test_power_matches_repeated_multiplication(self, uniform_walk):
         kernel, _ = uniform_walk

@@ -260,3 +260,11 @@ class TestAr1Limits:
     def test_power_validates_alpha(self):
         with pytest.raises(ValueError):
             power_parallel_limit(2.0, 0.0, 0.5, 1)
+
+    def test_power_validates_rho_and_step(self):
+        """rho outside (-1, 1) and L < 1 are named errors, not a math domain
+        error or a silent alpha."""
+        with pytest.raises(ValueError, match="rho must lie in"):
+            power_parallel_limit(1.0, 0.05, 1.5, 1)
+        with pytest.raises(ValueError, match="step must be >= 1"):
+            power_parallel_limit(1.0, 0.05, 0.5, 0)

@@ -63,6 +63,22 @@ class TestMarkedTreeValidation:
         assert adj[0] == [(1, True)]
         assert adj[1] == [(0, False)]
 
+    def test_rooted_edges_orient_every_edge(self):
+        """From every root: each edge once, parent before child, with its flow."""
+        trees = (
+            build_path_tree(3, 2), build_star_tree(3, 2), build_split_star(2, 2, 1),
+            build_split_star(1, 0, 1), LEAF_FANS,
+        )
+        for tree in trees:
+            for root in range(tree.vertex_count):
+                order = tree.rooted_edges(root)
+                assert len(order) == tree.vertex_count - 1
+                placed = {root}
+                for u, v, with_flow in order:
+                    assert u in placed and v not in placed
+                    placed.add(v)
+                    assert ((u, v) if with_flow else (v, u)) in tree.edges
+
 
 class TestTreeBuilders:
     def test_path_tree_shape(self):
@@ -74,6 +90,15 @@ class TestTreeBuilders:
         # M = 0: the bare mark
         tree = build_path_tree(0, 2)
         assert (tree.vertex_count, tree.edges, tree.marks) == (1, (), (0,))
+        # A path is a one-arm split star; with no draws per arm, the bare marked hub.
+        assert build_split_star(1, 0, 2) == MarkedTree(1, (), (0,))
+        for m in range(5):
+            for step in (1, 2, 3):
+                n = m * step + 1
+                path = MarkedTree(n, tuple((i, i + 1) for i in range(n - 1)),
+                                  tuple(i * step for i in range(m + 1)))
+                assert build_split_star(1, m, step) == path
+                assert build_path_tree(m, step) == path
 
     def test_star_tree_shape(self):
         tree = build_star_tree(3, 1)
@@ -107,6 +132,8 @@ class TestTreeBuilders:
             build_star_tree(1, 0)
         with pytest.raises(ValueError):
             build_split_star(0, 1, 1)
+        with pytest.raises(ValueError):
+            build_split_star(1, -1, 1)
 
 
 class TestSampleSets:
@@ -146,6 +173,15 @@ class TestSampleSets:
     def test_zero_draws(self, skewed_pair, rng):
         assert sample_parallel(skewed_pair, "a", 0, rng).draws == []
         assert sample_permuted_serial(skewed_pair, "a", 0, rng).draws == []
+
+    @pytest.mark.parametrize(
+        "sampler", [sample_parallel, sample_permuted_serial, sample_sequential, sample_iid]
+    )
+    def test_negative_draws_rejected(self, sampler, skewed_walk, skewed_pair, rng):
+        """M = -1 is a ValueError that names the draws, for every sampler."""
+        chain = skewed_walk[1] if sampler is sample_iid else skewed_pair
+        with pytest.raises(ValueError, match="draws"):
+            sampler(chain, "a", -1, rng)
 
     @pytest.mark.parametrize(
         "sampler, build",
