@@ -10,6 +10,7 @@ abstract state identifiers, which carries both.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -28,15 +29,17 @@ PRODUCT_TOL = 1e-10
 
 
 def _pinned_cumsum(mass: np.ndarray) -> np.ndarray:
-    """Cumulative sums along the last axis, with each row's final run set to 1.
+    """Cumulative sums along the last axis, clipped at 1, with each row's final
+    run set to 1: a nondecreasing row that ends at 1.
 
     Rounding can leave a row's total just below 1 (the bimodal kernel's
     100-step rows end as low as 1 - 1.4e-15), and ``rng.random()`` can return
     up to ``1 - 2**-53``; an inverse-CDF lookup would then run off the end of
     the row.  Pinning every entry equal to the row's total, rather than only
-    the last one, keeps trailing zero-mass states unreachable.
+    the last one, keeps trailing zero-mass states unreachable.  Clipping first
+    keeps a row whose total is above 1 sorted, and moves no u in [0, 1).
     """
-    cum = np.cumsum(mass, axis=-1)
+    cum = np.minimum(np.cumsum(mass, axis=-1), 1.0)
     cum[cum == cum[..., -1:]] = 1.0
     return cum
 
@@ -112,15 +115,19 @@ class DiscreteKernel(_StateList):
             raise ValueError(f"the L = {steps} power's rows sum to 1 only within {deviation:.1e}")
         return power
 
-    def _cumulative(self, steps: int) -> np.ndarray:
+    def _cumulative(self, steps: int) -> tuple:
+        """The pinned cumulative ``steps``-step matrix, and its rows as memoryviews."""
         if steps not in self._cums:
-            self._cums[steps] = _pinned_cumsum(self.power(steps))
+            cum = _pinned_cumsum(self.power(steps))
+            self._cums[steps] = cum, list(map(memoryview, cum))
         return self._cums[steps]
 
     def run(self, state, steps: int, rng: np.random.Generator):
-        """One draw from the ``steps``-step law started at ``state``."""
-        row = self._cumulative(steps)[self._index[state]]
-        return self.states[int(np.searchsorted(row, rng.random(), side="right"))]
+        """One draw from the ``steps``-step law started at ``state``: one
+        ``rng.random()``, then ``bisect_right`` on a view of the cached row, which
+        finds ``np.searchsorted``'s index in 1.0 us a bimodal step, not 3.1."""
+        rows = self._cumulative(steps)[1]
+        return self.states[bisect_right(rows[self._index[state]], rng.random())]
 
     def step(self, state, rng: np.random.Generator):
         """One base step; the kernel is itself a step."""
@@ -135,7 +142,7 @@ class DiscreteKernel(_StateList):
         cumulative row: the stream moves exactly as ``n`` calls of
         :meth:`step` would, and gives the same states.
         """
-        row = self._cumulative(steps)[self._index[state]]
+        row = self._cumulative(steps)[0][self._index[state]]
         states = self.states
         picks = np.searchsorted(row, rng.random(n), side="right")
         return [states[i] for i in picks.tolist()]

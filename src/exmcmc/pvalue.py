@@ -123,7 +123,10 @@ def p_infinity_discrete(
         if weight > 0:
             values.append(float(fwd[s] @ tail))
             probs.append(float(weight))
-    return AtomLaw(tuple(values), tuple(probs))
+    try:
+        return AtomLaw(tuple(values), tuple(probs))
+    except ValueError as exc:  # power() allows rows off 1 by PRODUCT_TOL, AtomLaw by EXACT_TOL
+        raise ValueError(f"the L = {L} limiting law is no law: {exc}") from None
 
 
 # -- Normal CDF / quantile -------------------------------------------------

@@ -291,6 +291,13 @@ class TestExitCodes:
         assert main([command, "--L", str(10**18), "--reps", "1", "--check"]) == 2
         assert f"error: the L = {10**18} power's rows sum to 1" in capsys.readouterr().err
 
+    def test_pinfty_past_the_atom_law_check(self, capsys):
+        """At L = 300000 the reverse power's rows pass the power check, but the
+        hub law sums to 1 only within 2e-12; the refusal names L."""
+        assert main(["pinfty", "--chain", "bimodal", "--L", "300000"]) == 2
+        err = capsys.readouterr().err
+        assert "error: the L = 300000 limiting law is no law: masses must sum to 1" in err
+
     def test_x0_outside_bimodal_states(self, capsys):
         assert main(["consistency", "--x0", "500", "--reps", "1", "--m-values", "5"]) == 2
         assert "x0 must be a state of the chain (1..100), got 500.0" in capsys.readouterr().err

@@ -19,6 +19,7 @@ from exmcmc.kernel import (
     DiscreteDistribution,
     DiscreteKernel,
     KernelPair,
+    _pinned_cumsum,
     is_reversible,
     is_stationary,
     reversal,
@@ -79,6 +80,16 @@ class TestDiscreteDistribution:
             assert abs(rate - mass) <= 4 * se
 
 
+class FixedUniforms:
+    """Generator stub that hands out the given uniforms one at a time."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
 class TestDiscreteKernel:
     def test_rejects_non_stochastic_rows(self):
         with pytest.raises(ValueError):
@@ -116,6 +127,50 @@ class TestDiscreteKernel:
         kernel, _ = uniform_walk
         expected = kernel.matrix @ kernel.matrix @ kernel.matrix
         assert np.allclose(kernel.power(3), expected, atol=EXACT)
+
+    @pytest.mark.parametrize("step", [1, 20, 100])
+    def test_pinned_rows_are_sorted(self, step):
+        """Rounding takes some bimodal 100-step rows' totals past 1; the
+        pinned rows still never descend, and each ends at 1."""
+        target = bimodal_target()
+        pair = KernelPair.from_discrete(mh_pm1_kernel(target), target, step)
+        for kernel in (pair.forward, pair.reverse):
+            cum = _pinned_cumsum(kernel.power(step))
+            assert (np.diff(cum, axis=1) >= 0).all()
+            assert (cum[:, -1] == 1.0).all()
+
+    @pytest.mark.parametrize("step", [1, 100])
+    def test_run_is_the_sorted_lookup(self, step):
+        """``run`` lands where ``np.searchsorted(row, u, side="right")`` does,
+        at 0, at the largest double below 1, and at and just below every
+        cumulative value below 1, on every bimodal row in both directions."""
+        target = bimodal_target()
+        pair = KernelPair.from_discrete(mh_pm1_kernel(target), target, step)
+        for kernel in (pair.forward, pair.reverse):
+            for i, row in enumerate(_pinned_cumsum(kernel.power(step))):
+                inner = row[row < 1.0]
+                us = [0.0, float(np.nextafter(1.0, 0.0)), *inner, *np.nextafter(inner, 0.0)]
+                rng = FixedUniforms(us)
+                got = [kernel.run(kernel.states[i], step, rng) for _ in us]
+                want = np.searchsorted(row, us, side="right")
+                assert got == [kernel.states[j] for j in want]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        units=random_units,
+        step=st.integers(1, 4),
+        us=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=20),
+    )
+    def test_run_is_the_sorted_lookup_on_random_chains(self, units, step, us):
+        it = iter(units)
+        kernel, _ = random_chain(
+            lambda shape: np.array([next(it) for _ in range(9)]).reshape(shape), 3
+        )
+        cum = _pinned_cumsum(kernel.power(step))
+        rng = FixedUniforms(us * 3)
+        for i, row in enumerate(cum):
+            want = np.searchsorted(row, us, side="right").tolist()
+            assert [kernel.run(i, step, rng) for _ in us] == want
 
     def test_sampler_matches_matrix(self, rng):
         """Empirical one-step frequencies match matrix entries within 4 SE."""

@@ -79,6 +79,30 @@ class TestMarkedTreeValidation:
                     placed.add(v)
                     assert ((u, v) if with_flow else (v, u)) in tree.edges
 
+    def test_walk_plans_every_edge_once(self):
+        """From every root: each vertex but the root placed once, parents
+        first, with each edge's flow; with fans expanded, the edges of
+        :meth:`rooted_edges`.  A second call returns the cached plan."""
+        trees = (
+            build_path_tree(3, 2), build_star_tree(3, 2), build_star_tree(4, 1),
+            build_split_star(2, 2, 1), build_split_star(3, 1, 1), build_split_star(1, 0, 1),
+            LEAF_FANS,
+        )
+        for tree in trees:
+            for root in range(tree.vertex_count):
+                plan = tree.walk(root)
+                assert tree.walk(root) is plan
+                placed, edges = [root], set()
+                for u, v, with_flow in plan:
+                    assert u in placed
+                    for w in v if type(v) is tuple else (v,):
+                        assert with_flow or type(v) is int
+                        assert ((u, w) if with_flow else (w, u)) in tree.edges
+                        placed.append(w)
+                        edges.add((u, w, with_flow))
+                assert sorted(placed) == list(range(tree.vertex_count))
+                assert edges == set(tree.rooted_edges(root))
+
 
 class TestTreeBuilders:
     def test_path_tree_shape(self):

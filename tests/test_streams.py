@@ -2,10 +2,10 @@
 
 From fixed ``substream`` seeds, each sampler below is called on a chain
 whose stream it must keep: the bimodal matrix pair at L = 100 and L = 1, a
-CPT pair and the checkerboard swap pair.  One digest covers the draws of
-every call together with one ``rng.random()`` taken after it, so a change
-to which draws a sampler returns, or to how far it moves the stream, fails
-this test.
+CPT pair and the checkerboard swap pair, each also on a split star.  One
+digest covers the draws of every call together with one ``rng.random()``
+taken after it, so a change to which draws a sampler returns, or to how far
+it moves the stream, fails this test.
 
 A change that moves a stream on purpose updates ``DIGEST`` and records the
 old and new digests, and the ``--check`` output before and after, in
@@ -34,7 +34,7 @@ from exmcmc.samplers import (
 )
 
 SEED = 2024
-DIGEST = "8a4fca922ad6bc02ca8e45bf0c88e5e038fafefd024cbd30d2b1e278d765a2d6"
+DIGEST = "89449c023ecf853b4cec473a5940852362f807a535613654bdf512af9f0f4f9e"
 
 
 def _record(h, rng, draws, encode) -> None:
@@ -66,20 +66,28 @@ def _stream_digest() -> str:
     q_log = substream(SEED, 1000).standard_normal((8, 8))
     pair = cpt_pair(q_log, 16)
     x0 = make_permutation_state(range(8), q_log)
-    for c, sample in enumerate((sample_parallel, sample_permuted_serial)):
+    calls = (
+        lambda rng: sample_parallel(pair, x0, 9, rng),
+        lambda rng: sample_permuted_serial(pair, x0, 9, rng),
+        lambda rng: sample_tree(pair, x0, split_star, rng),
+    )
+    for c, call in enumerate(calls):
         rng = substream(SEED, 1001, c)
         for _ in range(3):
-            draws = sample(pair, x0, 9, rng).draws
-            _record(h, rng, draws, lambda s: repr((s.perm, s.log_weight)).encode())
+            _record(h, rng, call(rng).draws, lambda s: repr((s.perm, s.log_weight)).encode())
 
     entries = (substream(SEED, 2000).random((8, 6)) < 0.5).astype(int)
     swap = checkerboard_swap_step
     pair = KernelPair(swap, swap, step_size=25, reversible=True)
-    rng = substream(SEED, 2001)
     x0 = BinaryMatrix(entries)
-    for _ in range(3):
-        draws = sample_permuted_serial(pair, x0, 9, rng).draws
-        _record(h, rng, draws, lambda m: m.entries.tobytes())
+    calls = (
+        lambda rng: sample_permuted_serial(pair, x0, 9, rng),
+        lambda rng: sample_tree(pair, x0, split_star, rng),
+    )
+    for c, call in enumerate(calls):
+        rng = substream(SEED, 2001 + c)
+        for _ in range(3):
+            _record(h, rng, call(rng).draws, lambda m: m.entries.tobytes())
 
     return h.hexdigest()
 
