@@ -82,7 +82,8 @@ class TestMarkedTreeValidation:
     def test_walk_plans_every_edge_once(self):
         """From every root: each vertex but the root placed once, parents
         first, with each edge's flow; with fans expanded, the edges of
-        :meth:`rooted_edges`.  A second call returns the cached plan."""
+        :meth:`rooted_edges`.  A second call returns the cached plan, and
+        every plan step but a fan is the tree's own neighbour triple."""
         trees = (
             build_path_tree(3, 2), build_star_tree(3, 2), build_star_tree(4, 1),
             build_split_star(2, 2, 1), build_split_star(3, 1, 1), build_split_star(1, 0, 1),
@@ -93,7 +94,9 @@ class TestMarkedTreeValidation:
                 plan = tree.walk(root)
                 assert tree.walk(root) is plan
                 placed, edges = [root], set()
-                for u, v, with_flow in plan:
+                for step in plan:
+                    u, v, with_flow = step
+                    assert type(v) is tuple or any(e is step for e in tree._neighbors[u])
                     assert u in placed
                     for w in v if type(v) is tuple else (v,):
                         assert with_flow or type(v) is int
@@ -260,15 +263,16 @@ class TestSampleSets:
 
     def test_leaf_runs_are_grouped(self):
         star = build_star_tree(4, 1)
-        assert star._neighbors[0] == (((1, 2, 3, 4, 5), True),)
+        assert star._neighbors[0] == ((0, (1, 2, 3, 4, 5), True),)
         # A vertex fans only when all its neighbours are leaves reached with
         # the flow; a mixed hub steps each child.
-        assert LEAF_FANS._neighbors[0] == ((1, False), (2, False), (3, False), (4, True), (5, True))
+        assert LEAF_FANS._neighbors[0] == (
+            (0, 1, False), (0, 2, False), (0, 3, False), (0, 4, True), (0, 5, True))
         path = build_path_tree(4, 1)
-        assert all(type(w) is int for entries in path._neighbors for w, _ in entries)
+        assert all(type(w) is int for entries in path._neighbors for _, w, _ in entries)
         # A split star's hub fans only over one-vertex arms.
-        assert build_split_star(3, 1, 1)._neighbors[0] == (((1, 2, 3), True),)
-        assert build_split_star(3, 2, 1)._neighbors[0] == ((1, True), (3, True), (5, True))
+        assert build_split_star(3, 1, 1)._neighbors[0] == ((0, (1, 2, 3), True),)
+        assert build_split_star(3, 2, 1)._neighbors[0] == ((0, 1, True), (0, 3, True), (0, 5, True))
 
     def test_ar1_fan_has_the_parallel_law(self):
         """The AR(1) pair has no batch path; its single super-steps give

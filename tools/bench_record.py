@@ -6,10 +6,15 @@ Measures this checkout (``change``) against the checkout of another commit
 given by ``--base`` (``parent``), each from its own ``src/`` and
 ``sigbench/``, on the same machine:
 
-- ``--pairs`` pairs of ``sigbench/run.py --trace 0`` runs of ``--seconds``
-  on every workload in ``BENCHMARK.json``, alternating which side runs first,
-  with seeds 1..pairs.  Each end-to-end metric gets each side's median and
-  quartiles and the number of pairs the change won;
+- ``PAIRS`` pairs of ``sigbench/run.py --trace 0`` runs of the benchmark's
+  ``run_seconds`` on every workload in ``BENCHMARK.json``, alternating which
+  side runs first, with seeds 1..PAIRS.  Each end-to-end metric gets each
+  side's median and quartiles and the number of pairs the change won;
+- ``PAIRS`` more pairs per workload that stop after the same number of tests
+  on both sides (the parent's median count above), through sigbench's own
+  setup and test loop: the peak RSS, and whether the two sides' p-values and
+  gates are identical.  sigbench keeps records per test, so a timed run's
+  peak RSS grows with the tests it completes; at equal counts it does not;
 - the microseconds per ``DiscreteKernel.run`` and per sampler call at M = 99
   on the bimodal pair (best of five timed blocks);
 - the wall time and exit code of each CLI experiment at its default config
@@ -22,6 +27,8 @@ and the Python and numpy versions and ``nproc``.  Nothing runs in parallel.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import importlib
 import json
 import os
 import platform
@@ -35,6 +42,7 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10  # alternating parent/change pairs; a claimed gain must win nine of them
 EXPERIMENTS = (
     "bimodal-table", "power-curve", "consistency", "matrix-gof", "cpt-demo", "sqrt-eps", "pinfty",
 )
@@ -73,6 +81,28 @@ def micro() -> dict:
     return out
 
 
+def equal_count(workload: str, seed: int, count: int) -> dict:
+    """sigbench's setup and test loop for exactly ``count`` tests, from the
+    checkout in the working directory: the peak RSS, the gates and a digest
+    of the p-values."""
+    sys.path[:0] = [str(Path.cwd() / "sigbench"), str(Path.cwd() / "src")]
+    import numpy as np
+
+    bench, workloads = importlib.import_module("run"), importlib.import_module("workloads")
+    wl = workloads.WORKLOADS[workload](seed)
+    bench.measure_setup(wl, np, seed, [])
+    phase = bench.Phase()
+    rng = np.random.default_rng([seed, 7])
+    bench.run_tests(wl, workloads.ALPHA, rng, phase, 0, count=count, reference=True)
+    rss_mb = bench.peak_rss_mb()
+    return {
+        "peak_rss_mb": rss_mb, "tests": phase.attempted, "failed": phase.failed,
+        "pvalues_sha256": hashlib.sha256(phase.pvalues.tobytes()).hexdigest(),
+        "gates": [f"{g['gate']} {g['rejections']}/{g['tests']} {'ok' if g['ok'] else 'FAILED'}"
+                  for g in bench.gates(wl, phase.groups, workloads.ALPHA)],
+    }
+
+
 def run(cmd, cwd, timeout=1800) -> tuple:
     """(exit code, seconds, stdout) of ``cmd`` with ``cwd/src`` on the path."""
     env = dict(os.environ, PYTHONPATH=str(Path(cwd) / "src"))
@@ -86,38 +116,64 @@ def quartiles(values) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def sigbench(sides: dict, pairs: int, seconds: float) -> dict:
+def paired(sides: dict, call) -> list:
+    """``call(side, seed)`` for seeds 1..PAIRS, alternating which side goes first."""
+    runs = []
+    for seed in range(1, PAIRS + 1):
+        for side in (list(sides) if seed % 2 else list(sides)[::-1]):
+            runs.append({"side": side, "seed": seed, **call(side, seed)})
+            print(json.dumps(runs[-1]), file=sys.stderr)
+    return runs
+
+
+def summary(sides: dict, runs: list, name: str, higher: bool) -> dict:
+    """Each side's median and quartiles of ``name``, and the pairs the change won."""
+    value = {(r["side"], r["seed"]): r[name] for r in runs}
+    out = {side: quartiles([r[name] for r in runs if r["side"] == side]) for side in sides}
+    out["change_wins"] = sum(
+        (value["change", s] > value["parent", s]) if higher
+        else (value["change", s] < value["parent", s])
+        for s in range(1, PAIRS + 1)
+    )
+    return out
+
+
+def sigbench(sides: dict) -> dict:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     out = {}
     for workload in (w["name"] for w in bench["workloads"]):
-        runs = []
-        for seed in range(1, pairs + 1):
-            order = list(sides) if seed % 2 else list(sides)[::-1]
-            for side in order:
-                cmd = [sys.executable, "sigbench/run.py", "--workload", workload,
-                       "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-                code, _, stdout = run(cmd, sides[side])
-                result = json.loads(stdout.strip().splitlines()[-1])
-                runs.append({
-                    "side": side, "seed": seed, "exit": code, "correct": result["correct"],
+        def timed(side, seed):
+            cmd = [sys.executable, "sigbench/run.py", "--workload", workload, "--seed", str(seed),
+                   "--seconds", str(bench["run_seconds"]), "--trace", "0"]
+            code, _, stdout = run(cmd, sides[side])
+            result = json.loads(stdout.strip().splitlines()[-1])
+            return {"exit": code, "correct": result["correct"], "attempted": result["attempted"],
                     "failed": result["failed"],
-                    **{k: v["value"] for k, v in result["metrics"].items()},
-                })
-                print(json.dumps(runs[-1]), file=sys.stderr)
-        metrics = {}
-        for metric in bench["end_to_end"]:
-            name, higher = metric["name"], metric["better"] == "higher"
-            value = {(r["side"], r["seed"]): r[name] for r in runs}
-            wins = sum(
-                (value["change", s] > value["parent", s]) if higher
-                else (value["change", s] < value["parent", s])
-                for s in range(1, pairs + 1)
-            )
-            metrics[name] = {
-                side: quartiles([r[name] for r in runs if r["side"] == side]) for side in sides
-            }
-            metrics[name]["change_wins"] = wins
-        out[workload] = {"metrics": metrics, "runs": runs}
+                    **{k: v["value"] for k, v in result["metrics"].items()}}
+
+        runs = paired(sides, timed)
+        count = round(statistics.median(r["attempted"] for r in runs if r["side"] == "parent"))
+
+        def counted(side, seed):
+            cmd = [sys.executable, str(Path(__file__).resolve()), "--probe", "count", workload,
+                   str(seed), str(count)]
+            return json.loads(run(cmd, sides[side])[2])
+
+        counted_runs = paired(sides, counted)
+        out[workload] = {
+            "metrics": {m["name"]: summary(sides, runs, m["name"], m["better"] == "higher")
+                        for m in bench["end_to_end"]},
+            "runs": runs,
+            "equal_count": {
+                "tests": count,
+                "peak_rss_mb": summary(sides, counted_runs, "peak_rss_mb", False),
+                "same_pvalues_and_gates": sum(
+                    len({(r["pvalues_sha256"], tuple(r["gates"]))
+                         for r in counted_runs if r["seed"] == s}) == 1
+                    for s in range(1, PAIRS + 1)),
+                "runs": counted_runs,
+            },
+        }
     return out
 
 
@@ -148,12 +204,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", help="checkout of the commit to compare against")
     parser.add_argument("--out", help="JSON file to write")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--micro", action="store_true", help=argparse.SUPPRESS)
+    # One side's measurement, run in that side's checkout: "micro", or
+    # "count WORKLOAD SEED TESTS".
+    parser.add_argument("--probe", nargs="+", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.micro:  # one side's micro timings, run in that side's checkout
-        print(json.dumps(micro()))
+    if args.probe:
+        kind, *rest = args.probe
+        result = micro() if kind == "micro" else equal_count(rest[0], int(rest[1]), int(rest[2]))
+        print(json.dumps(result))
         return 0
     if not (args.base and args.out):
         parser.error("--base and --out are required")
@@ -161,17 +219,18 @@ def main(argv=None) -> int:
     import numpy
 
     record = {
-        "settings": {"pairs": args.pairs, "seconds": args.seconds, "seeds": f"1..{args.pairs}"},
+        "settings": {"pairs": PAIRS, "seeds": f"1..{PAIRS}"},
         "environment": {"python": platform.python_version(), "numpy": numpy.__version__,
                         "nproc": len(os.sched_getaffinity(0)), "machine": platform.machine()},
         "micro_us": {
-            side: json.loads(run([sys.executable, str(Path(__file__).resolve()), "--micro"], path)[2])
+            side: json.loads(
+                run([sys.executable, str(Path(__file__).resolve()), "--probe", "micro"], path)[2])
             for side, path in sides.items()
         },
         "cli": {side: cli_times(path) for side, path in sides.items()},
         "tier1": {side: tier1(path) for side, path in sides.items()},
         "src_lines": {side: src_lines(path) for side, path in sides.items()},
-        "sigbench": sigbench(sides, args.pairs, args.seconds),
+        "sigbench": sigbench(sides),
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0
