@@ -87,5 +87,4 @@ def two_state():
 
 def state_index_statistic(kernel: DiscreteKernel):
     """T(state) = position of the state in the kernel's ordered state list."""
-    index = {s: i for i, s in enumerate(kernel.states)}
-    return lambda s: index[s]
+    return kernel.index

@@ -87,6 +87,7 @@ class DiscreteDistribution(_StateList):
     def __init__(self, states, mass):
         self.mass = self._over_states(states, mass, 1)
         self._cum = _pinned_cumsum(self.mass)
+        self._row = self._cum.tolist()  # not a memoryview, which cannot be pickled
 
     def prob(self, state) -> float:
         return float(self.mass[self._index[state]])
@@ -95,7 +96,8 @@ class DiscreteDistribution(_StateList):
         return np.searchsorted(self._cum, rng.random(size), side="right")
 
     def sample(self, rng: np.random.Generator):
-        return self.states[int(np.searchsorted(self._cum, rng.random(), side="right"))]
+        """One draw: one ``rng.random()``, then the :meth:`DiscreteKernel.run` lookup."""
+        return self.states[bisect_right(self._row, rng.random())]
 
 
 class DiscreteKernel(_StateList):
@@ -126,7 +128,7 @@ class DiscreteKernel(_StateList):
     def run(self, state, steps: int, rng: np.random.Generator):
         """One draw from the ``steps``-step law started at ``state``: one
         ``rng.random()``, then ``bisect_right`` on a view of the cached row, which
-        finds ``np.searchsorted``'s index in 0.9 us a bimodal step, not 2.0."""
+        finds ``np.searchsorted(row, u, side="right")``'s index."""
         rows = self._cumulative(steps)[1]
         return self.states[bisect_right(rows[self._index[state]], rng.random())]
 
@@ -191,6 +193,8 @@ def is_reversible(
     kernel: DiscreteKernel, target: DiscreteDistribution, tol: float = EXACT_TOL
 ) -> bool:
     """Detailed balance: ``f(x) k(x, y) == f(y) k(y, x)`` entrywise."""
+    if kernel.states != target.states:
+        raise DimensionMismatchError("kernel and target must share the same state list")
     flux = kernel.matrix * target.mass[:, None]
     return float(np.max(np.abs(flux - flux.T))) <= tol
 

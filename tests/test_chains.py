@@ -1,7 +1,9 @@
 """Concrete chains: AR(1), bimodal MH, checkerboard swaps, permutation chain."""
 
+import itertools
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -160,48 +162,38 @@ class _CyclingGenerator:
         raise AssertionError("the swap step must not draw a float")
 
 
-def _proposals_over_one_cycle(m: BinaryMatrix):
-    """Run the swap step once per proposal code; return the ordered
-    ``(i, j, k, l)`` it read, the states it passed through and the stub."""
-    reads = []
-
-    class ReadLog(np.ndarray):
-        def item(self, *index):
-            reads.append(index)
-            return super().item(*index)
-
-    rows, cols = m.entries.shape
-    cycle = rows * (rows - 1) * cols * (cols - 1)
-    m.entries = m.entries.view(ReadLog)
-    stub = _CyclingGenerator()
-    proposals, states = [], [m]
-    for _ in range(cycle):
-        reads.clear()
-        states.append(checkerboard_swap_step(states[-1], stub))
-        (i, k), (i2, l), (j, k2), (j2, l2) = reads
-        assert (i2, k2, j2, l2) == (i, k, j, l)
-        proposals.append((i, j, k, l))
-    return proposals, states, stub
-
-
-def _ordered_pairs(n):
-    return [(a, b) for a in range(n) for b in range(n) if a != b]
-
-
 class TestCheckerboardSwap:
     def test_one_draw_proposes_every_ordered_pair_once(self):
-        m = BinaryMatrix([[1, 0, 1], [0, 1, 1], [1, 1, 0], [0, 0, 1]])
-        proposals, _, stub = _proposals_over_one_cycle(m)
-        expected = {(i, j, k, l) for i, j in _ordered_pairs(4) for k, l in _ordered_pairs(3)}
-        assert len(proposals) == len(expected) == 72
-        assert set(proposals) == expected
-        assert stub.integer_calls == 72  # one integers call per step
+        """Over every 4x3 0/1 matrix, each of the 72 codes of one draw moves
+        cells of exactly one 2x2 block, and each of the 18 blocks belongs to 4
+        codes: its two row orders times its two column orders."""
+        changed = np.zeros((72, 4, 3), dtype=bool)
+        for bits in itertools.product((0, 1), repeat=12):
+            m = BinaryMatrix(np.reshape(bits, (4, 3)))
+            stub = _CyclingGenerator()
+            for code in range(72):
+                out = checkerboard_swap_step(m, stub)
+                if out is not m:
+                    flips = out.entries != m.entries
+                    assert np.count_nonzero(flips) == 4  # all of one block, below
+                    changed[code] |= flips
+            assert stub.integer_calls == 72  # one integers call per step
+        blocks = []
+        for cells in changed:
+            rows, cols = np.flatnonzero(cells.any(axis=1)), np.flatnonzero(cells.any(axis=0))
+            assert len(rows) == len(cols) == 2 and cells.sum() == 4
+            blocks.append((tuple(rows.tolist()), tuple(cols.tolist())))
+        row_pairs = list(itertools.combinations(range(4), 2))
+        col_pairs = list(itertools.combinations(range(3), 2))
+        assert Counter(blocks) == {(r, c): 4 for r in row_pairs for c in col_pairs}
 
     def test_checkerboard_accepts_every_proposal(self):
         m = BinaryMatrix([[1, 0], [0, 1]])
         rows, cols = m.row_sums.copy(), m.col_sums.copy()
-        proposals, states, stub = _proposals_over_one_cycle(m)
-        assert sorted(proposals) == [(0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0)]
+        stub = _CyclingGenerator()
+        states = [m]
+        for _ in range(4):
+            states.append(checkerboard_swap_step(states[-1], stub))
         assert stub.integer_calls == 4
         for before, after in zip(states, states[1:]):
             assert not np.array_equal(before.entries, after.entries)
@@ -209,9 +201,11 @@ class TestCheckerboardSwap:
             assert np.array_equal(after.entries.sum(axis=0), cols)
 
     def test_all_ones_never_moves(self, rng):
+        """No swap is accepted, so the step and the run return ``m`` itself."""
         m = BinaryMatrix(np.ones((3, 3), dtype=int))
         for _ in range(100):
-            assert checkerboard_swap_step(m, rng) == m
+            assert checkerboard_swap_step(m, rng) is m
+        assert checkerboard_swap_run(m, 100, rng) is m
 
     def test_two_by_two_identity_alternates(self, rng):
         m = BinaryMatrix([[1, 0], [0, 1]])

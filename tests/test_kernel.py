@@ -1,6 +1,8 @@
 """Kernel algebra: reversal, stationarity, detailed balance, super-steps."""
 
 import inspect
+import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -79,6 +81,12 @@ class TestDiscreteDistribution:
             se = np.sqrt(mass * (1 - mass) / n)
             assert abs(rate - mass) <= 4 * se
 
+    def test_pickle_round_trip_samples_alike(self):
+        target = bimodal_target()
+        copy = pickle.loads(pickle.dumps(target))
+        assert copy.states == target.states
+        assert copy.sample(substream(5)) == target.sample(substream(5))
+
 
 class FixedUniforms:
     """Generator stub that hands out the given uniforms one at a time."""
@@ -143,17 +151,21 @@ class TestDiscreteKernel:
     def test_run_is_the_sorted_lookup(self, step):
         """``run`` lands where ``np.searchsorted(row, u, side="right")`` does,
         at 0, at the largest double below 1, and at and just below every
-        cumulative value below 1, on every bimodal row in both directions."""
+        cumulative value below 1, on every bimodal row in both directions;
+        so does the bimodal target's ``sample`` on its cumulative masses."""
         target = bimodal_target()
         pair = KernelPair.from_discrete(mh_pm1_kernel(target), target, step)
+        lookups = [(target.sample, _pinned_cumsum(target.mass))]
         for kernel in (pair.forward, pair.reverse):
             for i, row in enumerate(_pinned_cumsum(kernel.power(step))):
-                inner = row[row < 1.0]
-                us = [0.0, float(np.nextafter(1.0, 0.0)), *inner, *np.nextafter(inner, 0.0)]
-                rng = FixedUniforms(us)
-                got = [kernel.run(kernel.states[i], step, rng) for _ in us]
-                want = np.searchsorted(row, us, side="right")
-                assert got == [kernel.states[j] for j in want]
+                lookups.append((partial(kernel.run, kernel.states[i], step), row))
+        for draw, row in lookups:
+            inner = row[row < 1.0]
+            us = [0.0, float(np.nextafter(1.0, 0.0)), *inner, *np.nextafter(inner, 0.0)]
+            rng = FixedUniforms(us)
+            got = [draw(rng) for _ in us]
+            want = np.searchsorted(row, us, side="right")
+            assert got == [target.states[j] for j in want]
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -211,11 +223,18 @@ class TestStationarity:
         wrong = DiscreteDistribution(("a", "b", "c"), [0.8, 0.1, 0.1])
         assert not is_stationary(kernel, wrong).stationary
 
-    def test_state_list_mismatch(self, uniform_walk):
-        kernel, _ = uniform_walk
-        other = DiscreteDistribution(("x", "y", "z"), [1 / 3, 1 / 3, 1 / 3])
-        with pytest.raises(DimensionMismatchError):
-            is_stationary(kernel, other)
+    def test_state_list_mismatch(self, uniform_walk, skewed_walk):
+        """A target over other states, or over fewer, is a named error for
+        every check, also where the arithmetic would go through."""
+        others = (
+            DiscreteDistribution(("x", "y", "z"), [1 / 3, 1 / 3, 1 / 3]),
+            DiscreteDistribution(("a", "b"), [0.5, 0.5]),
+        )
+        for kernel, _ in (uniform_walk, skewed_walk):
+            for other in others:
+                for check in (is_stationary, reversal, is_reversible):
+                    with pytest.raises(DimensionMismatchError):
+                        check(kernel, other)
 
 
 class TestReversal:

@@ -2,10 +2,11 @@
 
 From fixed ``substream`` seeds, each sampler below is called on a chain
 whose stream it must keep: the bimodal matrix pair at L = 100 and L = 1, a
-CPT pair and the checkerboard swap pair, each also on a split star.  One
-digest covers the draws of every call together with one ``rng.random()``
-taken after it, so a change to which draws a sampler returns, or to how far
-it moves the stream, fails this test.
+CPT pair and the checkerboard swap pair, each also on a split star, and
+5,000 single checkerboard swap steps.  One digest covers the draws of every
+call (for the steps, each state) together with one ``rng.random()`` taken
+after it, so a change to which draws a sampler returns, or to how far it
+moves the stream, fails this test.
 
 A change that moves a stream on purpose updates ``DIGEST`` and records the
 old and new digests, and the ``--check`` output before and after, in
@@ -34,7 +35,7 @@ from exmcmc.samplers import (
 )
 
 SEED = 2024
-DIGEST = "89449c023ecf853b4cec473a5940852362f807a535613654bdf512af9f0f4f9e"
+DIGEST = "4a19a678dc886ee4ee3a0505bfbd0ed230c7ee4342f513e140a0e36f63e66e8d"
 
 
 def _record(h, rng, draws, encode) -> None:
@@ -88,6 +89,15 @@ def _stream_digest() -> str:
         rng = substream(SEED, 2001 + c)
         for _ in range(3):
             _record(h, rng, call(rng).draws, lambda m: m.entries.tobytes())
+
+    # Single swap steps, apart from the samplers' runs.
+    rng = substream(SEED, 3000)
+    m = BinaryMatrix(rng.random((20, 12)) < 0.4)
+    states = []
+    for _ in range(5_000):
+        m = checkerboard_swap_step(m, rng)
+        states.append(m)
+    _record(h, rng, states, lambda m: m.entries.tobytes())
 
     return h.hexdigest()
 

@@ -16,7 +16,9 @@ given by ``--base`` (``parent``), each from its own ``src/`` and
   gates are identical.  sigbench keeps records per test, so a timed run's
   peak RSS grows with the tests it completes; at equal counts it does not;
 - the microseconds per ``DiscreteKernel.run`` and per sampler call at M = 99
-  on the bimodal pair (best of five timed blocks);
+  on the bimodal pair, per base step of the swap, CPT (n = 40) and AR(1)
+  chains, per 50-step swap run and ``association_statistic`` on 20 x 12, and
+  per ``p_mc`` at M = 99 (best of five timed blocks);
 - the wall time and exit code of each CLI experiment at its default config
   with ``--check``;
 - the tier-1 suite's wall time and counts, and the ``src/`` line count;
@@ -49,14 +51,26 @@ EXPERIMENTS = (
 
 
 def micro() -> dict:
-    """Microseconds per kernel step and per sampler call on the bimodal pair,
-    as sigbench's bimodal workload calls them."""
+    """Microseconds per call of each layer: the bimodal kernel step and
+    samplers as sigbench's bimodal workload calls them, each chain's base
+    step, the swap chain's 50-step run, the matrix statistic and ``p_mc``."""
     import numpy as np
-    from exmcmc.chains import bimodal_target, mh_pm1_kernel
+    from exmcmc.chains import (
+        Ar1Kernel, BinaryMatrix, association_statistic, bimodal_target, checkerboard_swap_run,
+        checkerboard_swap_step, cpt_swap_step, make_permutation_state, mh_pm1_kernel,
+    )
     from exmcmc.kernel import KernelPair
+    from exmcmc.pvalue import p_mc
     from exmcmc.samplers import (
         build_split_star, sample_parallel, sample_permuted_serial, sample_tree,
     )
+
+    def chain(step, state):
+        """A call that moves ``state`` one ``step`` on, as a chain does."""
+        def call():
+            nonlocal state
+            state = step(state)
+        return call
 
     target = bimodal_target()
     kernel = mh_pm1_kernel(target)
@@ -65,6 +79,12 @@ def micro() -> dict:
     tree = build_split_star(9, 11, 1)
     rng = np.random.default_rng(17)
     x0s = iter(target.sample_indices(rng, 10**6).tolist())
+    grid = BinaryMatrix(rng.random((20, 12)) < 0.4)  # sigbench's matrix null
+    z = rng.standard_normal(40)
+    x = z + rng.standard_normal(40)
+    q_log = -0.5 * (x[:, None] - z[None, :]) ** 2  # sigbench's cpt table
+    ar1 = Ar1Kernel(0.8)
+    stats = rng.random(99).tolist()
     calls = {
         "kernel_run_L100_us": (lambda: kernel.run(50, 100, rng), 100_000),
         "kernel_run_L1_us": (lambda: kernel.run(50, 1, rng), 100_000),
@@ -73,6 +93,15 @@ def micro() -> dict:
             lambda: sample_permuted_serial(pair, next(x0s) + 1, 99, rng), 1_000),
         "sample_tree_split_star_us": (
             lambda: sample_tree(unit_pair, next(x0s) + 1, tree, rng), 1_000),
+        "swap_step_20x12_us": (chain(lambda m: checkerboard_swap_step(m, rng), grid), 100_000),
+        "swap_run_L50_20x12_us": (
+            chain(lambda m: checkerboard_swap_run(m, 50, rng), grid), 10_000),
+        "cpt_swap_step_n40_us": (
+            chain(lambda s: cpt_swap_step(s, q_log, rng),
+                  make_permutation_state(range(40), q_log)), 100_000),
+        "ar1_step_us": (chain(lambda x: ar1.step(x, rng), 0.0), 100_000),
+        "association_statistic_20x12_us": (lambda: association_statistic(grid), 20_000),
+        "p_mc_M99_us": (lambda: p_mc(0.5, stats), 10_000),
     }
     out = {}
     for name, (call, number) in calls.items():
