@@ -11,11 +11,12 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import MatrixFormatError
-from .kernel import DiscreteDistribution, DiscreteKernel, KernelPair
+from .kernel import DiscreteDistribution, DiscreteKernel, KernelPair, chain_runs
 
 
 # -- AR(1) -----------------------------------------------------------------
@@ -183,7 +184,8 @@ def checkerboard_swap_run(m: BinaryMatrix, steps: int, rng: np.random.Generator)
     return _swaps(m, rng.integers(n_proposals, size=steps).tolist()) if n_proposals else m
 
 
-checkerboard_swap_step.run = checkerboard_swap_run
+# A chain of swap super-steps is one batched run per super-step.
+checkerboard_swap_step.path = partial(chain_runs, checkerboard_swap_run)
 
 
 def association_statistic(m: BinaryMatrix) -> int:

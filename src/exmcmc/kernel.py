@@ -2,10 +2,10 @@
 
 A chain enters the samplers as a :class:`KernelPair`: a forward step, its
 time reversal and a super-step size L.  A step is a callable
-``(state, rng) -> state`` that may carry its own batch paths, ``run`` for an
-L-step super-step and ``spokes`` for a fan of them.  A finite chain's step is
-a :class:`DiscreteKernel`, a row-stochastic matrix over an ordered list of
-abstract state identifiers, which carries both.
+``(state, rng) -> state`` that may carry its own batch paths, ``path`` for a
+chain of L-step super-steps and ``spokes`` for a fan of them.  A finite
+chain's step is a :class:`DiscreteKernel`, a row-stochastic matrix over an
+ordered list of abstract state identifiers, which carries both.
 """
 
 from __future__ import annotations
@@ -107,6 +107,10 @@ class DiscreteKernel(_StateList):
         self.matrix = self._over_states(states, matrix, 2)
         self._cums = {}
 
+    def __getstate__(self):
+        """Without the cached rows: memoryviews cannot be pickled, and a copy refills them."""
+        return {**self.__dict__, "_cums": {}}
+
     def power(self, steps: int) -> np.ndarray:
         """Matrix of the ``steps``-step kernel; its rows must sum to 1 within ``PRODUCT_TOL``."""
         if steps < 1:
@@ -131,6 +135,20 @@ class DiscreteKernel(_StateList):
         finds ``np.searchsorted(row, u, side="right")``'s index."""
         rows = self._cumulative(steps)[1]
         return self.states[bisect_right(rows[self._index[state]], rng.random())]
+
+    def path(self, state, count: int, steps: int, rng: np.random.Generator) -> list:
+        """The states every ``steps`` steps along one chain from ``state``, ``count``
+        times: one :meth:`run` lookup per link, on the doubles of ``count`` scalar
+        ``rng.random()`` calls, which one ``rng.random(count)`` gives for two or more."""
+        rows, states = self._cumulative(steps)[1], self.states
+        i = self._index[state]
+        if count == 1:
+            return [states[bisect_right(rows[i], rng.random())]]
+        out = []
+        for u in rng.random(count).tolist():
+            i = bisect_right(rows[i], u)
+            out.append(states[i])
+        return out
 
     def step(self, state, rng: np.random.Generator):
         """One base step; the kernel is itself a step."""
@@ -200,21 +218,31 @@ def is_reversible(
 
 
 def _loop(step: Callable, state, steps: int, rng: np.random.Generator):
-    """``steps`` single calls of a step that carries no ``run``."""
+    """``steps`` single calls of a step."""
     for _ in range(steps):
         state = step(state, rng)
     return state
+
+
+def chain_runs(run: Callable, state, count: int, steps: int, rng: np.random.Generator) -> list:
+    """The ``path`` of a super-step ``run(state, steps, rng)``: ``count`` runs in turn."""
+    out = []
+    for _ in range(count):
+        state = run(state, steps, rng)
+        out.append(state)
+    return out
 
 
 class KernelPair:
     """A forward step and its reversal, with an L-step super-step size.
 
     ``forward`` and ``reverse`` are base steps ``(state, rng) -> state``.  A
-    step may carry ``run(state, steps, rng)``, which must return what
-    ``steps`` calls return and leave ``rng`` where they leave it; the pair
-    binds it once, or a loop of single steps, for its super-steps.  The
-    forward step may also carry ``spokes(state, n, steps, rng)``, a list of
-    ``n`` independent forward ``steps``-step draws, each an ordinary state.
+    step may carry ``path(state, count, steps, rng)``: the ``count`` states
+    that ``count * steps`` single calls visit every ``steps`` calls, leaving
+    ``rng`` where they leave it.  The pair binds it once, or a loop of single
+    steps, for its chains.  The forward step may also carry
+    ``spokes(state, n, steps, rng)``, a list of ``n`` independent forward
+    ``steps``-step draws, each an ordinary state.
     """
 
     def __init__(
@@ -226,8 +254,10 @@ class KernelPair:
         self.reverse = reverse
         self.step_size = step_size
         self.reversible = reversible
-        self._forward_run = getattr(forward, "run", None) or partial(_loop, forward)
-        self._reverse_run = getattr(reverse, "run", None) or partial(_loop, reverse)
+        self._forward_path, self._reverse_path = (
+            getattr(step, "path", None) or partial(chain_runs, partial(_loop, step))
+            for step in (forward, reverse)
+        )
 
     @classmethod
     def from_discrete(
@@ -238,11 +268,17 @@ class KernelPair:
     ) -> "KernelPair":
         return cls(kernel, reversal(kernel, target), step_size, is_reversible(kernel, target))
 
+    def chain(self, state, count: int, with_flow: bool, rng: np.random.Generator) -> list:
+        """The states after 1, ..., ``count`` super-steps along one chain from
+        ``state``, forward if ``with_flow`` and reverse otherwise."""
+        path = self._forward_path if with_flow else self._reverse_path
+        return path(state, count, self.step_size, rng)
+
     def super_forward(self, state, rng: np.random.Generator):
-        return self._forward_run(state, self.step_size, rng)
+        return self.chain(state, 1, True, rng)[0]
 
     def super_reverse(self, state, rng: np.random.Generator):
-        return self._reverse_run(state, self.step_size, rng)
+        return self.chain(state, 1, False, rng)[0]
 
     def fan(self, state, n: int, rng: np.random.Generator) -> list:
         """``n`` independent forward super-steps from ``state``, as a list.

@@ -139,7 +139,10 @@ def p_infinity_ar1(x0: float, rho: float, step: int, z_star: float) -> float:
     """Limiting parallel-method p-value for the autoregressive chain.
 
     ``1 - Phi(sqrt(1 - rho^(2L)) * x0 - rho^L * z_star)`` where ``z_star`` is
-    the standard-normal innovation behind the hub draw.
+    the standard-normal innovation behind the hub draw.  No subcommand calls
+    it: ``pinfty`` lists the atoms of a finite chain's limiting law, and this
+    law is continuous in ``z_star``, so it has none; ``power-curve`` uses its
+    average over ``x0`` and ``z_star``, :func:`power_parallel_limit`.
     """
     rho_l, shrink = Ar1Kernel(rho).lag(step)
     return 1.0 - normal_cdf(shrink * x0 - rho_l * z_star)

@@ -5,10 +5,10 @@ invalidity demonstration), and the marked-tree method with constructors for
 path, star, and split-star trees.  Each tree edge is one super-step of the
 kernel pair, and the tree is walked depth-first from the observed point's
 mark.  The parallel (hub-and-spoke) method is the tree method on a star, and
-the permuted serial method is the tree method on a path.  A vertex whose
-neighbours are all leaves reached with the flow (the hub of a star) draws them
-in one :meth:`KernelPair.fan` call, which batches it when the pair's forward
-step carries ``spokes``.
+the permuted serial method is the tree method on a path.  A run of edges in
+one direction is one :meth:`KernelPair.chain` call, batched by the step's
+``path``, and a vertex whose neighbours are all leaves reached with the flow
+(the hub of a star) is one :meth:`KernelPair.fan`, batched by ``spokes``.
 """
 
 from __future__ import annotations
@@ -117,21 +117,25 @@ class MarkedTree:
 
     def walk(self, root: int) -> tuple:
         """:func:`sample_tree`'s depth-first walk from ``root``, children in edge
-        order, planned once per root: the :attr:`_neighbors` triples, parents
-        first, with a leaf root taken out of its fan."""
+        order, planned once per root from the :attr:`_neighbors` triples,
+        parents first.  An entry ``(u, vertices, with_flow)`` is a chain: each
+        edge starts where the last one ended, all with one flow.  An entry
+        ``(u, leaves, None)`` is a fan, with a leaf root taken out."""
         plan = self._plans.get(root)
         if plan is None:
             neighbors, plan = self._neighbors, []
             stack = list(reversed(neighbors[root]))
             while stack:
-                edge = stack.pop()
-                u, v, _ = edge
+                u, v, with_flow = stack.pop()
                 if v.__class__ is tuple:
-                    edge = (u, tuple(w for w in v if w != root), True)
+                    plan.append((u, [w for w in v if w != root], None))
+                    continue
+                stack.extend(e for e in reversed(neighbors[v]) if e[1] != u)
+                if plan and plan[-1][2] is with_flow and plan[-1][1][-1] == u:
+                    plan[-1][1].append(v)
                 else:
-                    stack.extend(e for e in reversed(neighbors[v]) if e[1] != u)
-                plan.append(edge)
-            plan = self._plans[root] = tuple(plan)
+                    plan.append((u, [v], with_flow))
+            plan = self._plans[root] = tuple((u, tuple(vs), f) for u, vs, f in plan)
         return plan
 
 
@@ -164,12 +168,7 @@ def sample_sequential(
     """
     if n_draws < 0:
         raise ValueError(f"n_draws must be >= 0, got {n_draws}")
-    draws = []
-    state = x0
-    for _ in range(n_draws):
-        state = pair.super_forward(state, rng)
-        draws.append(state)
-    return SampleSet(draws)
+    return SampleSet(pair.chain(x0, n_draws, True, rng))
 
 
 def sample_parallel(
@@ -206,24 +205,24 @@ def sample_tree(
     the edge's flow and reverse against it.  The walk is depth-first from
     x0's vertex, children in edge order: any order gives the same law, and
     this one consumes the stream on a path tree exactly as a chain run
-    backwards from m* and then forwards would.  A vertex whose neighbours are
-    all leaves reached with the flow draws them by one :meth:`KernelPair.fan`
-    call, which for a matrix-backed pair moves the stream exactly as the
-    single forward super-steps would.  The walk is planned once per root
-    (:meth:`MarkedTree.walk`); a bimodal path call at M = 99 takes 0.11 ms.
+    backwards from m* and then forwards would.  Each entry of the walk plan
+    (:meth:`MarkedTree.walk`) is one :meth:`KernelPair.chain` or
+    :meth:`KernelPair.fan` call, which a matrix-backed pair draws on the
+    stream of single super-steps.  On the bimodal pair at M = 99 a path call
+    takes about 50 us and a nine-arm split star at L = 1 about 63 us, against
+    153 and 139 us a super-step at a time (a shared 2-core x86-64 host).
     """
     sigma = tuple(rng.permutation(tree.n_draws + 1).tolist())
     marks = tree.marks
     root = marks[sigma[0]]
-    forward, reverse = pair.super_forward, pair.super_reverse
+    chain, fan = pair.chain, pair.fan
     y = [None] * tree.vertex_count
     y[root] = x0
-    for u, v, with_flow in tree.walk(root):
-        if v.__class__ is tuple:
-            for w, state in zip(v, pair.fan(y[u], len(v), rng)):
-                y[w] = state
-        else:
-            y[v] = forward(y[u], rng) if with_flow else reverse(y[u], rng)
+    for u, vertices, flow in tree.walk(root):
+        n = len(vertices)
+        states = fan(y[u], n, rng) if flow is None else chain(y[u], n, flow, rng)
+        for w, state in zip(vertices, states):
+            y[w] = state
     return SampleSet([y[marks[s]] for s in sigma[1:]], sigma)
 
 

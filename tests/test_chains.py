@@ -26,7 +26,7 @@ from exmcmc.chains import (
     parse_binary_matrix,
 )
 from exmcmc.errors import MatrixFormatError
-from exmcmc.kernel import DiscreteDistribution, is_reversible, is_stationary
+from exmcmc.kernel import DiscreteDistribution, chain_runs, is_reversible, is_stationary
 from exmcmc.rng import substream
 
 
@@ -269,8 +269,18 @@ def _swap_run_cases():
 
 
 class TestCheckerboardSwapRun:
-    def test_step_carries_the_run(self):
-        assert checkerboard_swap_step.run is checkerboard_swap_run
+    def test_step_carries_the_path(self):
+        """The step's ``path`` is one :func:`checkerboard_swap_run` per
+        super-step, each from the last one's state, on the same stream."""
+        assert checkerboard_swap_step.path.func is chain_runs
+        assert checkerboard_swap_step.path.args == (checkerboard_swap_run,)
+        start = BinaryMatrix(substream(3).random((20, 12)) < 0.4)
+        rngs, expected, m = (substream(6), substream(6)), [], start
+        for _ in range(3):
+            m = checkerboard_swap_run(m, 50, rngs[0])
+            expected.append(m)
+        assert checkerboard_swap_step.path(start, 3, 50, rngs[1]) == expected
+        assert rngs[0].random() == rngs[1].random()
 
     @pytest.mark.parametrize("skip", [0, 1])
     def test_run_is_steps_single_steps(self, skip):

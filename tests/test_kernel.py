@@ -28,7 +28,7 @@ from exmcmc.kernel import (
 )
 from exmcmc.pvalue import p_infinity_discrete
 from exmcmc.rng import substream
-from exmcmc.samplers import sample_permuted_serial
+from exmcmc.samplers import sample_parallel, sample_permuted_serial
 
 EXACT = 1e-12
 
@@ -89,13 +89,16 @@ class TestDiscreteDistribution:
 
 
 class FixedUniforms:
-    """Generator stub that hands out the given uniforms one at a time."""
+    """Generator stub that hands out the given uniforms in turn, one or
+    ``size`` at a time."""
 
     def __init__(self, values):
         self.values = iter(values)
 
-    def random(self):
-        return next(self.values)
+    def random(self, size=None):
+        if size is None:
+            return next(self.values)
+        return np.array([next(self.values) for _ in range(size)])
 
 
 class TestDiscreteKernel:
@@ -183,6 +186,49 @@ class TestDiscreteKernel:
         for i, row in enumerate(cum):
             want = np.searchsorted(row, us, side="right").tolist()
             assert [kernel.run(i, step, rng) for _ in us] == want
+
+    @pytest.mark.parametrize("step", [1, 100])
+    def test_path_is_chained_runs(self, step):
+        """From every bimodal state, in both directions, ``path`` gives the
+        states of ``count`` chained :meth:`run` calls on the same uniforms,
+        among them 0 and the largest double below 1; on a generator it also
+        leaves the stream where they leave it, for a one-link chain too."""
+        target = bimodal_target()
+        pair = KernelPair.from_discrete(mh_pm1_kernel(target), target, step)
+        top = float(np.nextafter(1.0, 0.0))
+        us = [0.0, top, *substream(4).random(20).tolist(), top, 0.0, 0.5]
+        for kernel in (pair.forward, pair.reverse):
+            for x in kernel.states:
+                rng, want, state = FixedUniforms(us), [], x
+                for _ in us:
+                    state = kernel.run(state, step, rng)
+                    want.append(state)
+                assert kernel.path(x, len(us), step, FixedUniforms(us)) == want
+                for count in (1, 7):
+                    a, b = substream(5, x), substream(5, x)
+                    state, want = x, []
+                    for _ in range(count):
+                        state = kernel.run(state, step, a)
+                        want.append(state)
+                    assert kernel.path(x, count, step, b) == want
+                    assert a.random() == b.random()
+
+    def test_used_kernel_pickles(self):
+        """A pair pickles after its kernels have drawn (their cached rows are
+        memoryviews, which cannot be pickled), and the copy draws alike."""
+        target = bimodal_target()
+        pair = KernelPair.from_discrete(mh_pm1_kernel(target), target, 100)
+        copies = []
+        for sample in (sample_parallel, sample_permuted_serial):
+            sample(pair, 50, 9, substream(1))
+            copies.append(pickle.loads(pickle.dumps(pair)))
+        for sample in (sample_parallel, sample_permuted_serial):
+            outs = []
+            for p in (pair, *copies):
+                rng = substream(2)
+                draws = sample(p, 60, 9, rng).draws
+                outs.append((draws, p.super_reverse(draws[0], rng), rng.random()))
+            assert outs[0] == outs[1] == outs[2]
 
     def test_sampler_matches_matrix(self, rng):
         """Empirical one-step frequencies match matrix entries within 4 SE."""
@@ -411,23 +457,26 @@ def _swap_start(seed=3):
 
 
 class TestStepRun:
-    def test_super_steps_call_the_steps_run(self):
-        """A base step's ``run`` takes the whole super-step, in each direction."""
+    def test_super_steps_call_the_steps_path(self):
+        """A base step's ``path`` takes the whole super-step, in each
+        direction, as a one-link chain; a chain is one call."""
         calls = []
 
         def step(state, rng):
-            raise AssertionError("the run replaces the loop")
+            raise AssertionError("the path replaces the loop")
 
-        def run(state, steps, rng):
-            calls.append((state, steps, rng))
-            return state + steps
+        def path(state, count, steps, rng):
+            calls.append((state, count, steps, rng))
+            return [state + steps * k for k in range(1, count + 1)]
 
-        step.run = run
+        step.path = path
         pair = KernelPair(step, step, step_size=7)
         assert pair.super_forward(1, "rng") == 8
         assert pair.super_reverse(2, "rng") == 9
         assert pair.fan(0, 2, "rng") == [7, 7]
-        assert calls == [(1, 7, "rng"), (2, 7, "rng"), (0, 7, "rng"), (0, 7, "rng")]
+        assert calls == [(1, 1, 7, "rng"), (2, 1, 7, "rng"), (0, 1, 7, "rng"), (0, 1, 7, "rng")]
+        assert pair.chain(3, 2, False, "rng") == [10, 17]
+        assert calls[-1] == (3, 2, 7, "rng")
 
     @pytest.mark.parametrize("direction", ["super_forward", "super_reverse"])
     def test_swap_super_step_is_one_integers_call(self, direction):
@@ -439,7 +488,7 @@ class TestStepRun:
         assert rng.integer_calls == 1
 
     def test_wrapper_without_run_gives_the_same_results(self):
-        """A pair of wrapped steps (no ``run``, as under a tracer) loops
+        """A pair of wrapped steps (no ``path``, as under a tracer) loops
         single steps and gives bit-identical super-steps and samples."""
         plain = KernelPair(
             checkerboard_swap_step, checkerboard_swap_step, step_size=50, reversible=True

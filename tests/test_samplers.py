@@ -1,10 +1,22 @@
 """Sampler behavior: metadata, determinism, tree structure, text format."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exmcmc import fixtures
-from exmcmc.chains import Ar1Kernel, cpt_pair, make_permutation_state
+from exmcmc.chains import (
+    Ar1Kernel,
+    BinaryMatrix,
+    bimodal_target,
+    checkerboard_swap_step,
+    cpt_pair,
+    make_permutation_state,
+    mh_pm1_kernel,
+)
 from exmcmc.errors import TreeFormatError, TreeValidationError
 from exmcmc.kernel import KernelPair, reversal
 from exmcmc.rng import substream
@@ -81,30 +93,35 @@ class TestMarkedTreeValidation:
 
     def test_walk_plans_every_edge_once(self):
         """From every root: each vertex but the root placed once, parents
-        first, with each edge's flow; with fans expanded, the edges of
-        :meth:`rooted_edges`.  A second call returns the cached plan, and
-        every plan step but a fan is the tree's own neighbour triple."""
+        first, with each edge's flow; each edge in exactly one entry, and
+        with chains and fans expanded, the edges of :meth:`rooted_edges`.  A
+        chain's vertices are consecutive, and a chain that could go on is
+        never split.  A second call returns the cached plan."""
         trees = (
             build_path_tree(3, 2), build_star_tree(3, 2), build_star_tree(4, 1),
             build_split_star(2, 2, 1), build_split_star(3, 1, 1), build_split_star(1, 0, 1),
-            LEAF_FANS,
+            build_split_star(3, 2, 2), LEAF_FANS,
         )
         for tree in trees:
             for root in range(tree.vertex_count):
                 plan = tree.walk(root)
                 assert tree.walk(root) is plan
-                placed, edges = [root], set()
-                for step in plan:
-                    u, v, with_flow = step
-                    assert type(v) is tuple or any(e is step for e in tree._neighbors[u])
-                    assert u in placed
-                    for w in v if type(v) is tuple else (v,):
-                        assert with_flow or type(v) is int
-                        assert ((u, w) if with_flow else (w, u)) in tree.edges
-                        placed.append(w)
-                        edges.add((u, w, with_flow))
+                placed, edges, last = [root], [], None
+                for u, vertices, with_flow in plan:
+                    assert type(vertices) is tuple and vertices and u in placed
+                    if with_flow is None:  # a fan: every leaf hangs off u
+                        steps = [(u, w, True) for w in vertices]
+                    else:
+                        steps = list(zip((u,) + vertices, vertices, [with_flow] * len(vertices)))
+                        assert last is None or not (last[2] is with_flow and last[1][-1] == u)
+                    for a, b, flow in steps:
+                        assert ((a, b) if flow else (b, a)) in tree.edges
+                        placed.append(b)
+                    edges.extend(steps)
+                    last = (u, vertices, with_flow)
                 assert sorted(placed) == list(range(tree.vertex_count))
-                assert edges == set(tree.rooted_edges(root))
+                assert len(edges) == len(set(edges)) == tree.vertex_count - 1
+                assert set(edges) == set(tree.rooted_edges(root))
 
 
 class TestTreeBuilders:
@@ -319,6 +336,103 @@ class TestSampleSets:
         a = sample_permuted_serial(skewed_pair, "a", 6, substream(3, 1))
         b = sample_permuted_serial(skewed_pair, "a", 6, substream(3, 1))
         assert a.draws == b.draws and a.sigma == b.sigma
+
+
+def reference_sample_tree(pair, x0, tree, rng):
+    """The tree method one edge at a time: depth first from x0's vertex,
+    children in edge order, one super-step per edge, and one ``fan`` at a
+    vertex whose two or more neighbours are all leaves reached with the flow.
+    Returns the draws and sigma."""
+    sigma = tuple(rng.permutation(tree.n_draws + 1).tolist())
+    adj = tree.adjacency()
+    root = tree.marks[sigma[0]]
+    y = {root: x0}
+
+    def visit(u, parent):
+        children = [(v, f) for v, f in adj[u] if v != parent]
+        if len(adj[u]) > 1 and all(f and len(adj[v]) == 1 for v, f in adj[u]):
+            for (v, _), state in zip(children, pair.fan(y[u], len(children), rng)):
+                y[v] = state
+            return
+        for v, f in children:
+            y[v] = pair.super_forward(y[u], rng) if f else pair.super_reverse(y[u], rng)
+            visit(v, u)
+
+    visit(root, None)
+    return [y[tree.marks[s]] for s in sigma[1:]], sigma
+
+
+@lru_cache(maxsize=None)
+def _walk_pair(chain):
+    """``(pair, x0)``: the bimodal matrix pair at L = 1 or 3, the
+    non-reversible drift cycle's at L = 2 (a chain walked with the wrong flow
+    draws from the wrong law), the swap and CPT pairs at L = 3, or the
+    bimodal steps wrapped so that they carry no hooks."""
+    if chain == "drift cycle":
+        kernel, target = fixtures.drift_cycle_skewed()
+        return KernelPair.from_discrete(kernel, target, 2), kernel.states[0]
+    target = bimodal_target()
+    kernel = mh_pm1_kernel(target)
+    if chain.startswith("bimodal"):
+        return KernelPair.from_discrete(kernel, target, int(chain[-1])), 40
+    if chain == "swap":
+        m = BinaryMatrix(substream(3).random((5, 4)) < 0.5)
+        return KernelPair(checkerboard_swap_step, checkerboard_swap_step, 3, True), m
+    if chain == "cpt":
+        q_log = substream(4).standard_normal((5, 5))
+        return cpt_pair(q_log, 3), make_permutation_state(range(5), q_log)
+    reverse = reversal(kernel, target)
+    return KernelPair(lambda s, r: kernel.step(s, r), lambda s, r: reverse.step(s, r), 3), 40
+
+
+@st.composite
+def walk_trees(draw):
+    """A star or split star, whose arms may run through unmarked vertices, or
+    a random tree on 1-12 vertices with its edges in random order and
+    directions and 1-6 marks."""
+    if draw(st.booleans()):
+        arms, step = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            return build_star_tree(arms, step)
+        return build_split_star(arms, draw(st.integers(0, 3)), step)
+    n = draw(st.integers(1, 12))
+    edges = []
+    for v in range(1, n):
+        u = draw(st.integers(0, v - 1))
+        edges.append((u, v) if draw(st.booleans()) else (v, u))
+    marks = draw(st.permutations(range(n)))[: draw(st.integers(1, min(6, n)))]
+    return MarkedTree(n, tuple(draw(st.permutations(edges))), tuple(marks))
+
+
+CHAINS = ["bimodal L=1", "bimodal L=3", "drift cycle", "swap", "cpt", "wrapped"]
+
+
+class TestGroupedWalk:
+    """The walk draws each run of edges with one flow as one chain; the
+    draws, sigma and stream are those of single super-steps."""
+
+    @pytest.mark.parametrize("chain", CHAINS)
+    @settings(max_examples=60, deadline=None)
+    @given(tree=walk_trees(), seed=st.integers(0, 2**16))
+    def test_chains_and_fans_match_single_super_steps(self, chain, tree, seed):
+        pair, x0 = _walk_pair(chain)
+        a, b = substream(31, seed), substream(31, seed)
+        got = sample_tree(pair, x0, tree, a)
+        draws, sigma = reference_sample_tree(pair, x0, tree, b)
+        assert got.draws == draws and got.sigma == sigma
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("chain", CHAINS)
+    def test_sequential_is_one_forward_chain(self, chain):
+        pair, x0 = _walk_pair(chain)
+        for seed in range(5):
+            a, b = substream(32, seed), substream(32, seed)
+            state, want = x0, []
+            for _ in range(6):
+                state = pair.super_forward(state, b)
+                want.append(state)
+            assert sample_sequential(pair, x0, 6, a).draws == want
+            assert a.random() == b.random()
 
 
 class TestAverageWorkOfPermutedSerial:

@@ -2,8 +2,9 @@
 
 From fixed ``substream`` seeds, each sampler below is called on a chain
 whose stream it must keep: the bimodal matrix pair at L = 100 and L = 1, a
-CPT pair and the checkerboard swap pair, each also on a split star, and
-5,000 single checkerboard swap steps.  One digest covers the draws of every
+CPT pair and the checkerboard swap pair, each also on a split star, the
+L = 1 pair on a star whose arms are runs of unmarked edges, and 5,000
+single checkerboard swap steps.  One digest covers the draws of every
 call (for the steps, each state) together with one ``rng.random()`` taken
 after it, so a change to which draws a sampler returns, or to how far it
 moves the stream, fails this test.
@@ -27,6 +28,7 @@ from exmcmc.kernel import KernelPair
 from exmcmc.rng import substream
 from exmcmc.samplers import (
     build_split_star,
+    build_star_tree,
     sample_iid,
     sample_parallel,
     sample_permuted_serial,
@@ -35,7 +37,7 @@ from exmcmc.samplers import (
 )
 
 SEED = 2024
-DIGEST = "4a19a678dc886ee4ee3a0505bfbd0ed230c7ee4342f513e140a0e36f63e66e8d"
+DIGEST = "07a49d244076bae4cc4b996f9ae8f6468c7e50877e10dd6c26132b3a19b5b64a"
 
 
 def _record(h, rng, draws, encode) -> None:
@@ -63,6 +65,12 @@ def _stream_digest() -> str:
             rng = substream(SEED, L, c)
             for x0 in (25, 60, 90):
                 _record(h, rng, call(x0, rng).draws, lambda s: repr(s).encode())
+
+    # The loop's last pair (L = 1) on arms of three edges, two into unmarked vertices.
+    star = build_star_tree(4, 3)
+    rng = substream(SEED, 1, 5)
+    for x0 in (25, 60, 90):
+        _record(h, rng, sample_tree(pair, x0, star, rng).draws, lambda s: repr(s).encode())
 
     q_log = substream(SEED, 1000).standard_normal((8, 8))
     pair = cpt_pair(q_log, 16)

@@ -15,8 +15,8 @@ given by ``--base`` (``parent``), each from its own ``src/`` and
   setup and test loop: the peak RSS, and whether the two sides' p-values and
   gates are identical.  sigbench keeps records per test, so a timed run's
   peak RSS grows with the tests it completes; at equal counts it does not;
-- the microseconds per ``DiscreteKernel.run`` and per sampler call at M = 99
-  on the bimodal pair, per base step of the swap, CPT (n = 40) and AR(1)
+- the microseconds per ``DiscreteKernel.run``, per ``DiscreteKernel.path``
+  of 99 links at L = 100 and per sampler call at M = 99 on the bimodal pair, per base step of the swap, CPT (n = 40) and AR(1)
   chains, per 50-step swap run and ``association_statistic`` on 20 x 12, and
   per ``p_mc`` at M = 99 (best of five timed blocks);
 - the wall time and exit code of each CLI experiment at its default config
@@ -51,9 +51,10 @@ EXPERIMENTS = (
 
 
 def micro() -> dict:
-    """Microseconds per call of each layer: the bimodal kernel step and
-    samplers as sigbench's bimodal workload calls them, each chain's base
-    step, the swap chain's 50-step run, the matrix statistic and ``p_mc``."""
+    """Microseconds per call of each layer: the bimodal kernel step, its
+    99-link chain (on a checkout whose kernel has ``path``) and the samplers
+    as sigbench's bimodal workload calls them, each chain's base step, the
+    swap chain's 50-step run, the matrix statistic and ``p_mc``."""
     import numpy as np
     from exmcmc.chains import (
         Ar1Kernel, BinaryMatrix, association_statistic, bimodal_target, checkerboard_swap_run,
@@ -103,6 +104,8 @@ def micro() -> dict:
         "association_statistic_20x12_us": (lambda: association_statistic(grid), 20_000),
         "p_mc_M99_us": (lambda: p_mc(0.5, stats), 10_000),
     }
+    if hasattr(kernel, "path"):
+        calls["kernel_path_99_L100_us"] = (lambda: kernel.path(50, 99, 100, rng), 10_000)
     out = {}
     for name, (call, number) in calls.items():
         call()  # fills the caches
