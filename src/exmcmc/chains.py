@@ -11,12 +11,11 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import MatrixFormatError
-from .kernel import DiscreteDistribution, DiscreteKernel, KernelPair, chain_runs
+from .kernel import DiscreteDistribution, DiscreteKernel, KernelPair
 
 
 # -- AR(1) -----------------------------------------------------------------
@@ -127,35 +126,37 @@ class BinaryMatrix:
         return hash(self.entries.tobytes())
 
 
-def _swaps(m: BinaryMatrix, codes) -> BinaryMatrix:
-    """``m`` after the checkerboard swap proposals ``codes`` in turn, or ``m``
-    itself if none is accepted.  A code decodes to an ordered pair of rows and
-    of columns, whose 2x2 submatrix flips if it is a checkerboard.  The entries
-    are copied at the first accepted swap, and the result owns a copy of that
-    copy (a view on it held more memory).
-    """
-    rows, cols = m.entries.shape
-    rows_1, cols_1 = rows - 1, cols - 1  # hoisted: a 50-step run is 2 % faster
+def _cells(code, rows: int, cols: int) -> tuple:
+    """The flat offsets of cells (i,k), (i,l), (j,k) and (j,l) of the swap code(s)
+    ``code``, an int or an int array: ordered rows ``i != j`` and columns ``k != l``."""
+    code, l = divmod(code, cols - 1)
+    code, k = divmod(code, cols)
+    i, j = divmod(code, rows - 1)
+    j += j >= i  # row i and column k are skipped: j != i and l != k
+    l += l >= k
+    i, j = i * cols, j * cols
+    return i + k, i + l, j + k, j + l
+
+
+def _flips(m: BinaryMatrix, links) -> list:
+    """The state after each link of :func:`_cells` quadruples from ``m``, each 2x2 flipped if a
+    checkerboard: the last state if none is, else a new int8 matrix sharing ``m``'s margins."""
     entries = flat = m.entries.tobytes()
-    for code in codes:
-        code, l = divmod(code, cols_1)
-        code, k = divmod(code, cols)
-        i, j = divmod(code, rows_1)
-        if j >= i:
-            j += 1
-        if l >= k:
-            l += 1
-        i, j = i * cols, j * cols
-        a, b = flat[i + k], flat[i + l]
-        if a != b and flat[j + k] == b and flat[j + l] == a:
-            if flat is entries:
-                flat = bytearray(entries)
-            flat[i + k], flat[i + l], flat[j + k], flat[j + l] = b, a, a, b
-    if flat is entries:
-        return m
-    out = BinaryMatrix.__new__(BinaryMatrix)
-    out.entries = np.frombuffer(flat, dtype=np.int8).reshape(rows, cols).copy()
-    out.row_sums, out.col_sums = m.row_sums, m.col_sums
+    out = []
+    for quads in links:
+        moved = False
+        for ik, il, jk, jl in quads:
+            a, b = flat[ik], flat[il]
+            if a != b and flat[jk] == b and flat[jl] == a:
+                if flat is entries:
+                    flat = bytearray(entries)
+                flat[ik], flat[il], flat[jk], flat[jl] = b, a, a, b
+                moved = True
+        if moved:
+            last, m = m, BinaryMatrix.__new__(BinaryMatrix)
+            m.entries = np.ndarray(last.entries.shape, np.int8, flat).copy()
+            m.row_sums, m.col_sums = last.row_sums, last.col_sums
+        out.append(m)
     return out
 
 
@@ -163,29 +164,37 @@ def checkerboard_swap_step(m: BinaryMatrix, rng: np.random.Generator) -> BinaryM
     """One lazy checkerboard swap: preserves margins exactly.
 
     One integer draw picks a uniformly random ordered pair of rows and of
-    columns for :func:`_swaps`.  The proposal is symmetric, so the chain is
-    reversible with respect to the uniform law on the margin-fixed fiber.
-    On a 20x12 matrix a step takes about 1.8 us.
+    columns, whose 2x2 submatrix flips if it is a checkerboard.  The proposal
+    is symmetric, so the chain is reversible with respect to the uniform law
+    on the margin-fixed fiber.  On a 20x12 matrix a step takes about 4 us.
     """
     rows, cols = m.entries.shape
     n_proposals = rows * (rows - 1) * cols * (cols - 1)
-    return _swaps(m, (int(rng.integers(n_proposals)),)) if n_proposals else m
+    quads = (_cells(int(rng.integers(n_proposals)), rows, cols),) if n_proposals else ()
+    return _flips(m, (quads,))[0]
+
+
+def _swap_path(m: BinaryMatrix, count: int, steps: int, rng: np.random.Generator) -> list:
+    """The step's ``path``: one ``rng.integers(n_proposals, size=count * steps)`` call (the
+    scalar steps' codes and stream), one numpy :func:`_cells` decode read through memoryviews
+    and one :func:`_flips` loop.  On a 20x12 matrix 99 links of 50 steps take about 1.0 ms."""
+    rows, cols = m.entries.shape
+    n_proposals = rows * (rows - 1) * cols * (cols - 1)
+    if not n_proposals:
+        return [m] * count
+    codes = rng.integers(n_proposals, size=count * steps)
+    quads = zip(*map(memoryview, _cells(codes, rows, cols)))
+    links = map(itertools.islice, itertools.repeat(quads, count), itertools.repeat(steps, count))
+    return _flips(m, links)
+
+
+checkerboard_swap_step.path = _swap_path
 
 
 def checkerboard_swap_run(m: BinaryMatrix, steps: int, rng: np.random.Generator) -> BinaryMatrix:
-    """``steps`` calls of :func:`checkerboard_swap_step`, batched.
-
-    One ``rng.integers(n_proposals, size=steps)`` call gives the codes of
-    ``steps`` scalar calls and leaves ``rng`` where they leave it.  On a 20x12
-    matrix a 50-step run takes about 18 us.
-    """
-    rows, cols = m.entries.shape
-    n_proposals = rows * (rows - 1) * cols * (cols - 1)
-    return _swaps(m, rng.integers(n_proposals, size=steps).tolist()) if n_proposals else m
-
-
-# A chain of swap super-steps is one batched run per super-step.
-checkerboard_swap_step.path = partial(chain_runs, checkerboard_swap_run)
+    """``steps`` calls of :func:`checkerboard_swap_step`, batched: the
+    one-link path.  On a 20x12 matrix a 50-step run takes about 40 us."""
+    return _swap_path(m, 1, steps, rng)[0]
 
 
 def association_statistic(m: BinaryMatrix) -> int:
@@ -195,11 +204,12 @@ def association_statistic(m: BinaryMatrix) -> int:
     equals the sum of per-row pair counts, a function of the row sums
     alone), so the squared version is used when testing within a fiber: a
     planted column-pair association concentrates shared rows on one pair
-    and raises the sum of squares while the total stays fixed.
+    and raises the sum of squares while the total stays fixed.  The float
+    Gram matrix is exact for these counts, and its diagonal is the column sums.
     """
-    gram = m.entries.T.astype(np.int64) @ m.entries.astype(np.int64)
-    off = gram * gram
-    return int((off.sum() - np.trace(off)) // 2)
+    entries = m.entries.astype(np.float64)
+    gram = (entries.T @ entries).astype(np.int64)
+    return (int(np.vdot(gram, gram)) - int(m.col_sums @ m.col_sums)) // 2
 
 
 def format_binary_matrix(m: BinaryMatrix) -> str:
@@ -337,18 +347,23 @@ def cpt_swap_spokes(
     ]
 
 
+@dataclass(eq=False)
+class _CptStep:
+    """:func:`cpt_swap_step` on one table, carrying :func:`cpt_swap_spokes`, which
+    runs a fan of spokes in lockstep; a module-level class, so that its pair pickles."""
+
+    q_log: np.ndarray
+
+    def __call__(self, state, rng):
+        return cpt_swap_step(state, self.q_log, rng)
+
+    def spokes(self, state, n: int, steps: int, rng: np.random.Generator) -> list:
+        return cpt_swap_spokes(state, self.q_log, n, steps, rng)
+
+
 def cpt_pair(q_log: np.ndarray, step_size: int = 1) -> KernelPair:
-    """Kernel pair for the (reversible) permutation swap chain.
-
-    The step is :func:`cpt_swap_step` and carries :func:`cpt_swap_spokes`,
-    which runs a fan of spokes in lockstep.
-    """
-    q_log = _log_density_table(q_log)
-
-    def step(state, rng):
-        return cpt_swap_step(state, q_log, rng)
-
-    step.spokes = lambda state, n, steps, rng: cpt_swap_spokes(state, q_log, n, steps, rng)
+    """Kernel pair for the (reversible) permutation swap chain of :func:`cpt_swap_step`."""
+    step = _CptStep(_log_density_table(q_log))
     return KernelPair(step, step, step_size=step_size, reversible=True)
 
 

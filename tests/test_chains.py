@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import warnings
 from collections import Counter
 
@@ -26,8 +27,9 @@ from exmcmc.chains import (
     parse_binary_matrix,
 )
 from exmcmc.errors import MatrixFormatError
-from exmcmc.kernel import DiscreteDistribution, chain_runs, is_reversible, is_stationary
+from exmcmc.kernel import DiscreteDistribution, KernelPair, is_reversible, is_stationary
 from exmcmc.rng import substream
+from exmcmc.samplers import sample_parallel, sample_permuted_serial
 
 
 class TestAr1:
@@ -268,19 +270,88 @@ def _swap_run_cases():
     return cases
 
 
+def _swap_path_cases():
+    """(seed, entries, count, steps) cases on the shapes of
+    :func:`_swap_run_cases`, with ``count`` in 0..120 (0 in every tenth case)
+    and fewer steps a link."""
+    gen = np.random.default_rng(2025)
+    return [
+        (seed, entries, int(gen.integers(121)) if seed % 10 != 9 else 0,
+         1 + int(gen.integers(min(steps, 20))))
+        for seed, entries, steps in _swap_run_cases()
+    ]
+
+
 class TestCheckerboardSwapRun:
     def test_step_carries_the_path(self):
-        """The step's ``path`` is one :func:`checkerboard_swap_run` per
-        super-step, each from the last one's state, on the same stream."""
-        assert checkerboard_swap_step.path.func is chain_runs
-        assert checkerboard_swap_step.path.args == (checkerboard_swap_run,)
+        """The step's ``path`` gives the states of one :func:`checkerboard_swap_run`
+        per super-step, each from the last one's state, on the same stream, and a
+        pair's chains draw through it."""
         start = BinaryMatrix(substream(3).random((20, 12)) < 0.4)
-        rngs, expected, m = (substream(6), substream(6)), [], start
+        rngs, expected, m = (substream(6), substream(6), substream(6)), [], start
         for _ in range(3):
             m = checkerboard_swap_run(m, 50, rngs[0])
             expected.append(m)
         assert checkerboard_swap_step.path(start, 3, 50, rngs[1]) == expected
-        assert rngs[0].random() == rngs[1].random()
+        pair = KernelPair(checkerboard_swap_step, checkerboard_swap_step, 50, reversible=True)
+        assert pair.chain(start, 3, False, rngs[2]) == expected
+        assert rngs[0].random() == rngs[1].random() == rngs[2].random()
+
+    @pytest.mark.parametrize("skip", [0, 1])
+    def test_path_is_count_times_steps_single_steps(self, skip):
+        """Each link of a path is the state of ``steps`` more single steps, with
+        the same ``is``-previous-state outcome and the same next draw; a link
+        that moved owns int8 entries that share no memory with the input's;
+        with ``skip`` the generator starts mid-word."""
+        cases = _swap_path_cases()
+        assert max(c[2] for c in cases) > 100 and min(c[2] for c in cases) == 0
+        moved = 0
+        for seed, entries, count, steps in cases:
+            m = BinaryMatrix(np.asarray(entries, dtype=int))
+            one, path = substream(seed, 78), substream(seed, 78)
+            one.integers(7, size=skip)
+            path.integers(7, size=skip)
+            expected, state = [], m
+            for _ in range(count):
+                last = state
+                for _ in range(steps):
+                    state = checkerboard_swap_step(state, one)
+                expected.append((state, state is last))
+            out = checkerboard_swap_step.path(m, count, steps, path)
+            assert len(out) == count
+            assert one.integers(2**62) == path.integers(2**62)
+            last = m
+            for state, (want, stayed) in zip(out, expected):
+                assert state == want
+                assert (state is last) == stayed
+                if not stayed:
+                    moved += 1
+                    assert not np.shares_memory(state.entries, m.entries)
+                    assert state.entries.dtype == np.int8 and state.entries.flags.owndata
+                    assert state.row_sums is m.row_sums and state.col_sums is m.col_sums
+                last = state
+        assert moved > 1000
+
+    def test_empty_path_draws_nothing(self):
+        rng = substream(4)
+        before = rng.bit_generator.state
+        assert checkerboard_swap_step.path(BinaryMatrix(np.eye(5)), 0, 50, rng) == []
+        assert rng.bit_generator.state == before
+        m = BinaryMatrix([[1, 0, 1]])
+        assert checkerboard_swap_step.path(m, 3, 50, _CyclingGenerator()) == [m, m, m]
+
+    def test_used_pair_pickles(self):
+        """A swap pair pickles after a permuted serial sample, and the copy
+        draws the same states and leaves the stream in the same place."""
+        pair = KernelPair(checkerboard_swap_step, checkerboard_swap_step, 25, reversible=True)
+        x0 = BinaryMatrix(substream(5).random((8, 6)) < 0.5)
+        sample_permuted_serial(pair, x0, 9, substream(1))
+        copy = pickle.loads(pickle.dumps(pair))
+        outs = []
+        for p in (pair, copy):
+            rng = substream(2)
+            outs.append((sample_permuted_serial(p, x0, 9, rng).draws, rng.random()))
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("skip", [0, 1])
     def test_run_is_steps_single_steps(self, skip):
@@ -338,6 +409,27 @@ class TestCheckerboardSwapRun:
 
 
 class TestMatrixStatistics:
+    @staticmethod
+    def _reference_association(m):
+        """The statistic's integer formula: the squared Gram matrix without its diagonal."""
+        gram = m.entries.T.astype(np.int64) @ m.entries.astype(np.int64)
+        off = gram * gram
+        return int((off.sum() - np.trace(off)) // 2)
+
+    def test_association_matches_integer_formula(self):
+        """Exactly equal to the integer formula on 350 random shapes from 1x1 to
+        40x40, on all-zeros and all-ones matrices, and on a 300x300 matrix."""
+        gen = substream(14)
+        cases = [np.zeros((7, 5)), np.ones((7, 5)), np.ones((1, 1)), np.ones((40, 40)),
+                 gen.random((300, 300)) < 0.5, np.ones((300, 300))]
+        for _ in range(350):
+            shape = 1 + gen.integers(40, size=2)
+            cases.append(gen.random(shape) < gen.random())
+        for entries in cases:
+            m = BinaryMatrix(np.asarray(entries, dtype=int))
+            value = association_statistic(m)
+            assert type(value) is int and value == self._reference_association(m)
+
     def test_association_examples(self):
         assert association_statistic(BinaryMatrix(np.zeros((3, 3), dtype=int))) == 0
         assert association_statistic(BinaryMatrix(np.ones((2, 2), dtype=int))) == 4
@@ -573,3 +665,20 @@ class TestPermutationChain:
     def test_pair_flags_reversible(self):
         pair = cpt_pair(np.zeros((3, 3)), step_size=6)
         assert pair.reversible and pair.step_size == 6
+
+    def test_used_pair_pickles(self):
+        """A CPT pair pickles before and after it has drawn, and the copy gives
+        the same parallel (fan) and permuted serial draws on the same stream."""
+        q = substream(15).standard_normal((6, 6))
+        pair = cpt_pair(q, 12)
+        x0 = make_permutation_state(range(6), q)
+        copies = [pickle.loads(pickle.dumps(pair))]
+        for sample in (sample_parallel, sample_permuted_serial):
+            sample(pair, x0, 9, substream(1))
+            copies.append(pickle.loads(pickle.dumps(pair)))
+        for sample in (sample_parallel, sample_permuted_serial):
+            outs = []
+            for p in (pair, *copies):
+                rng = substream(2)
+                outs.append((sample(p, x0, 9, rng).draws, rng.random()))
+            assert all(out == outs[0] for out in outs)

@@ -16,9 +16,11 @@ given by ``--base`` (``parent``), each from its own ``src/`` and
   gates are identical.  sigbench keeps records per test, so a timed run's
   peak RSS grows with the tests it completes; at equal counts it does not;
 - the microseconds per ``DiscreteKernel.run``, per ``DiscreteKernel.path``
-  of 99 links at L = 100 and per sampler call at M = 99 on the bimodal pair, per base step of the swap, CPT (n = 40) and AR(1)
-  chains, per 50-step swap run and ``association_statistic`` on 20 x 12, and
-  per ``p_mc`` at M = 99 (best of five timed blocks);
+  of 99 links at L = 100 and per sampler call at M = 99 on the bimodal pair,
+  per base step of the swap, CPT (n = 40) and AR(1) chains, per 50-step swap
+  run, 99-link swap path at L = 50 (the matrix workload's chain call) and
+  ``association_statistic`` on 20 x 12, and per ``p_mc`` at M = 99 (best of
+  five timed blocks);
 - the wall time and exit code of each CLI experiment at its default config
   with ``--check``;
 - the tier-1 suite's wall time and counts, and the ``src/`` line count;
@@ -54,7 +56,8 @@ def micro() -> dict:
     """Microseconds per call of each layer: the bimodal kernel step, its
     99-link chain (on a checkout whose kernel has ``path``) and the samplers
     as sigbench's bimodal workload calls them, each chain's base step, the
-    swap chain's 50-step run, the matrix statistic and ``p_mc``."""
+    swap chain's 50-step run and its 99-link path at L = 50 (sigbench's matrix
+    chain), the matrix statistic and ``p_mc``."""
     import numpy as np
     from exmcmc.chains import (
         Ar1Kernel, BinaryMatrix, association_statistic, bimodal_target, checkerboard_swap_run,
@@ -97,6 +100,8 @@ def micro() -> dict:
         "swap_step_20x12_us": (chain(lambda m: checkerboard_swap_step(m, rng), grid), 100_000),
         "swap_run_L50_20x12_us": (
             chain(lambda m: checkerboard_swap_run(m, 50, rng), grid), 10_000),
+        "swap_path_99_L50_20x12_us": (
+            chain(lambda m: checkerboard_swap_step.path(m, 99, 50, rng)[-1], grid), 100),
         "cpt_swap_step_n40_us": (
             chain(lambda s: cpt_swap_step(s, q_log, rng),
                   make_permutation_state(range(40), q_log)), 100_000),
