@@ -191,12 +191,6 @@ def _swap_path(m: BinaryMatrix, count: int, steps: int, rng: np.random.Generator
 checkerboard_swap_step.path = _swap_path
 
 
-def checkerboard_swap_run(m: BinaryMatrix, steps: int, rng: np.random.Generator) -> BinaryMatrix:
-    """``steps`` calls of :func:`checkerboard_swap_step`, batched: the
-    one-link path.  On a 20x12 matrix a 50-step run takes about 40 us."""
-    return _swap_path(m, 1, steps, rng)[0]
-
-
 def association_statistic(m: BinaryMatrix) -> int:
     """Sum over column pairs of the squared shared-1 row count.
 

@@ -3,9 +3,10 @@
 A subcommand takes ``--out``, ``--check`` and the flags of the config fields
 its runner reads; any other flag is a usage error.  Runners always evaluate
 their acceptance thresholds; ``--check`` prints the violated ones to stderr.
-Exit codes: 0 on success, 2 on usage and configuration errors and other
-package errors (such as a statistic that evaluates to NaN on the given data),
-3 when ``--check`` is passed and an acceptance threshold is violated.
+Exit codes: 0 on success, 2 on usage and configuration errors, other package
+errors (such as a statistic that evaluates to NaN on the given data), an
+unwritable ``--out`` (checked before the run) and a run out of memory, 3 when
+``--check`` is passed and an acceptance threshold is violated.
 """
 
 from __future__ import annotations
@@ -70,15 +71,18 @@ def main(argv=None) -> int:
     out = args.pop("out", None)
     check = args.pop("check", False)
     try:
-        result = run(ExperimentConfig(**args))
-    except (ExmcmcError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        config = ExperimentConfig(**args)
+        if out:
+            open(out, "a").close()  # fails before the run, and keeps the file as it was
+        result = run(config)
+        if out:
+            with open(out, "w", encoding="utf-8", newline="") as handle:
+                result.write_csv(handle)
+        else:
+            result.write_csv(sys.stdout)
+    except (ExmcmcError, ValueError, MemoryError, OSError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            result.write_csv(handle)
-    else:
-        result.write_csv(sys.stdout)
     if not (check and result.violations):
         return 0
     for violation in result.violations:

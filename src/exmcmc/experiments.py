@@ -22,7 +22,6 @@ from .chains import (
     BinaryMatrix,
     association_statistic,
     bimodal_target,
-    checkerboard_swap_run,
     checkerboard_swap_step,
     cpt_pair,
     make_permutation_state,
@@ -372,11 +371,11 @@ def run_matrix_gof(config: ExperimentConfig) -> ExperimentResult:
 
     def p_values():
         gen_rng = substream(config.seed, 10**6)
-        base = BinaryMatrix((gen_rng.random((config.rows, config.cols)) < 0.4).astype(int))
-        current = checkerboard_swap_run(base, 100_000, gen_rng)
-        for rep in range(reps):
-            current = checkerboard_swap_run(current, 2000, gen_rng)
-            yield "null", rep, test(current, substream(config.seed, rep))
+        current = BinaryMatrix((gen_rng.random((config.rows, config.cols)) < 0.4).astype(int))
+        for rep in range(-50, reps):  # 50 links of 2,000 swaps before rep 0 are the burn-in
+            current = checkerboard_swap_step.path(current, 1, 2000, gen_rng)[0]
+            if rep >= 0:
+                yield "null", rep, test(current, substream(config.seed, rep))
 
         for rep in range(reps):
             rng = substream(config.seed, reps + rep)
@@ -490,7 +489,7 @@ def run_pinfty(config: ExperimentConfig) -> ExperimentResult:
     if config.chain == "two-state":
         kernel, target = fixtures.two_state()
         x0 = _state_x0(config, kernel.states, 1)
-        statistic = fixtures.state_index_statistic(kernel)
+        statistic = kernel.index
         pair = KernelPair.from_discrete(kernel, target, config.step or 1)
     elif config.chain == "bimodal":
         target, pair = _bimodal(config.step or 1)

@@ -83,8 +83,3 @@ def two_state():
     kernel = DiscreteKernel((0, 1), [[0.9, 0.1], [0.2, 0.8]])
     target = DiscreteDistribution((0, 1), [2 / 3, 1 / 3])
     return kernel, target
-
-
-def state_index_statistic(kernel: DiscreteKernel):
-    """T(state) = position of the state in the kernel's ordered state list."""
-    return kernel.index

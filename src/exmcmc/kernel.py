@@ -96,7 +96,7 @@ class DiscreteDistribution(_StateList):
         return np.searchsorted(self._cum, rng.random(size), side="right")
 
     def sample(self, rng: np.random.Generator):
-        """One draw: one ``rng.random()``, then the :meth:`DiscreteKernel.run` lookup."""
+        """One draw: one ``rng.random()``, then the :meth:`DiscreteKernel.path` lookup."""
         return self.states[bisect_right(self._row, rng.random())]
 
 
@@ -129,17 +129,12 @@ class DiscreteKernel(_StateList):
             self._cums[steps] = cum, [flat[i:i + n] for i in range(0, len(flat), n)]
         return self._cums[steps]
 
-    def run(self, state, steps: int, rng: np.random.Generator):
-        """One draw from the ``steps``-step law started at ``state``: one
-        ``rng.random()``, then ``bisect_right`` on a view of the cached row, which
-        finds ``np.searchsorted(row, u, side="right")``'s index."""
-        rows = self._cumulative(steps)[1]
-        return self.states[bisect_right(rows[self._index[state]], rng.random())]
-
     def path(self, state, count: int, steps: int, rng: np.random.Generator) -> list:
         """The states every ``steps`` steps along one chain from ``state``, ``count``
-        times: one :meth:`run` lookup per link, on the doubles of ``count`` scalar
-        ``rng.random()`` calls, which one ``rng.random(count)`` gives for two or more."""
+        times.  Each link moves to ``np.searchsorted(row, u, side="right")``'s index,
+        found by ``bisect_right`` on a view of the current state's cached ``steps``-step
+        cumulative row, for a uniform u: the doubles of ``count`` scalar ``rng.random()``
+        calls, which one ``rng.random(count)`` gives for two or more."""
         rows, states = self._cumulative(steps)[1], self.states
         i = self._index[state]
         if count == 1:
@@ -151,8 +146,8 @@ class DiscreteKernel(_StateList):
         return out
 
     def step(self, state, rng: np.random.Generator):
-        """One base step; the kernel is itself a step."""
-        return self.run(state, 1, rng)
+        """One base step, the one-link one-step :meth:`path`; the kernel is itself a step."""
+        return self.path(state, 1, 1, rng)[0]
 
     __call__ = step
 
@@ -217,18 +212,12 @@ def is_reversible(
     return float(np.max(np.abs(flux - flux.T))) <= tol
 
 
-def _loop(step: Callable, state, steps: int, rng: np.random.Generator):
-    """``steps`` single calls of a step."""
-    for _ in range(steps):
-        state = step(state, rng)
-    return state
-
-
-def chain_runs(run: Callable, state, count: int, steps: int, rng: np.random.Generator) -> list:
-    """The ``path`` of a super-step ``run(state, steps, rng)``: ``count`` runs in turn."""
+def _step_path(step: Callable, state, count: int, steps: int, rng: np.random.Generator) -> list:
+    """The ``path`` of a step that has none: ``count`` links of ``steps`` single calls."""
     out = []
     for _ in range(count):
-        state = run(state, steps, rng)
+        for _ in range(steps):
+            state = step(state, rng)
         out.append(state)
     return out
 
@@ -239,8 +228,8 @@ class KernelPair:
     ``forward`` and ``reverse`` are base steps ``(state, rng) -> state``.  A
     step may carry ``path(state, count, steps, rng)``: the ``count`` states
     that ``count * steps`` single calls visit every ``steps`` calls, leaving
-    ``rng`` where they leave it.  The pair binds it once, or a loop of single
-    steps, for its chains.  The forward step may also carry
+    ``rng`` where they leave it.  The pair binds it once, or :func:`_step_path`
+    on the step, for its chains.  The forward step may also carry
     ``spokes(state, n, steps, rng)``, a list of ``n`` independent forward
     ``steps``-step draws, each an ordinary state.
     """
@@ -255,7 +244,7 @@ class KernelPair:
         self.step_size = step_size
         self.reversible = reversible
         self._forward_path, self._reverse_path = (
-            getattr(step, "path", None) or partial(chain_runs, partial(_loop, step))
+            getattr(step, "path", None) or partial(_step_path, step)
             for step in (forward, reverse)
         )
 

@@ -75,7 +75,7 @@ def test_criterion_02_sequential_invalidity():
     kernel, target = fixtures.drift_cycle_skewed()
     law = exact_joint("sequential", kernel, target, n_draws=2)
     distance = exchangeability_distance(law)
-    stat = fixtures.state_index_statistic(kernel)
+    stat = kernel.index
     rejection = exact_rejection_probability(law, stat, Fraction(1, 3))
     ok = distance > 1e-6 and rejection > 1 / 3
     _report(
@@ -123,7 +123,7 @@ def test_criterion_06_limiting_mixture():
     """Exact limiting atoms match a large simulation of the parallel method."""
     kernel, target = fixtures.two_state()
     pair = KernelPair.from_discrete(kernel, target, 1)
-    stat = fixtures.state_index_statistic(kernel)
+    stat = kernel.index
     law = p_infinity_discrete(pair, stat, 1)
 
     # Simulate the parallel method exactly: hub ~ reverse kernel from x0, then

@@ -14,7 +14,6 @@ from exmcmc.chains import (
     BinaryMatrix,
     association_statistic,
     bimodal_target,
-    checkerboard_swap_run,
     checkerboard_swap_step,
     cpt_pair,
     cpt_swap_spokes,
@@ -203,11 +202,11 @@ class TestCheckerboardSwap:
             assert np.array_equal(after.entries.sum(axis=0), cols)
 
     def test_all_ones_never_moves(self, rng):
-        """No swap is accepted, so the step and the run return ``m`` itself."""
+        """No swap is accepted, so the step and a one-link path return ``m`` itself."""
         m = BinaryMatrix(np.ones((3, 3), dtype=int))
         for _ in range(100):
             assert checkerboard_swap_step(m, rng) is m
-        assert checkerboard_swap_run(m, 100, rng) is m
+        assert checkerboard_swap_step.path(m, 1, 100, rng)[0] is m
 
     def test_two_by_two_identity_alternates(self, rng):
         m = BinaryMatrix([[1, 0], [0, 1]])
@@ -284,13 +283,13 @@ def _swap_path_cases():
 
 class TestCheckerboardSwapRun:
     def test_step_carries_the_path(self):
-        """The step's ``path`` gives the states of one :func:`checkerboard_swap_run`
-        per super-step, each from the last one's state, on the same stream, and a
+        """The step's ``path`` gives the states of one one-link path per
+        super-step, each from the last one's state, on the same stream, and a
         pair's chains draw through it."""
         start = BinaryMatrix(substream(3).random((20, 12)) < 0.4)
         rngs, expected, m = (substream(6), substream(6), substream(6)), [], start
         for _ in range(3):
-            m = checkerboard_swap_run(m, 50, rngs[0])
+            m = checkerboard_swap_step.path(m, 1, 50, rngs[0])[0]
             expected.append(m)
         assert checkerboard_swap_step.path(start, 3, 50, rngs[1]) == expected
         pair = KernelPair(checkerboard_swap_step, checkerboard_swap_step, 50, reversible=True)
@@ -355,9 +354,9 @@ class TestCheckerboardSwapRun:
 
     @pytest.mark.parametrize("skip", [0, 1])
     def test_run_is_steps_single_steps(self, skip):
-        """Same state, same ``is m`` outcome and same next draw as ``steps``
-        single steps, with no memory shared with the input's entries; with
-        ``skip`` the generator starts mid-word."""
+        """A one-link path: same state, same ``is m`` outcome and same next draw
+        as ``steps`` single steps, with no memory shared with the input's
+        entries; with ``skip`` the generator starts mid-word."""
         moved = 0
         for seed, entries, steps in _swap_run_cases():
             m = BinaryMatrix(np.asarray(entries, dtype=int))
@@ -367,7 +366,7 @@ class TestCheckerboardSwapRun:
             expected = m
             for _ in range(steps):
                 expected = checkerboard_swap_step(expected, one)
-            out = checkerboard_swap_run(m, steps, run)
+            out = checkerboard_swap_step.path(m, 1, steps, run)[0]
             assert out == expected
             assert (out is m) == (expected is m)
             assert one.integers(2**62) == run.integers(2**62)
@@ -380,28 +379,28 @@ class TestCheckerboardSwapRun:
 
     def test_no_proposals_draws_nothing(self):
         m = BinaryMatrix([[1, 0, 1]])
-        assert checkerboard_swap_run(m, 50, _CyclingGenerator()) is m
+        assert checkerboard_swap_step.path(m, 1, 50, _CyclingGenerator())[0] is m
 
     def test_output_steps_on(self, rng):
-        """A run's output is an ordinary state: the step and the run continue
-        from it without touching it."""
+        """A one-link path's output is an ordinary state: the step and the path
+        continue from it without touching it."""
         m = BinaryMatrix([[1, 0], [0, 1]])
-        out = checkerboard_swap_run(m, 1, rng)
+        out = checkerboard_swap_step.path(m, 1, 1, rng)[0]
         assert out == BinaryMatrix([[0, 1], [1, 0]])
         assert checkerboard_swap_step(out, rng) == m
-        assert checkerboard_swap_run(out, 3, rng) == m
+        assert checkerboard_swap_step.path(out, 1, 3, rng)[0] == m
         assert out == BinaryMatrix([[0, 1], [1, 0]])
 
     @pytest.mark.soak
     def test_margin_conservation_soak(self):
-        """10^6 steps as 20,000 runs of 50 on a 20x12 matrix: margins
+        """10^6 steps as 20,000 one-link paths of 50 on a 20x12 matrix: margins
         unchanged, exactly."""
         rng = substream(8)
         m = BinaryMatrix((rng.random((20, 12)) < 0.4).astype(int))
         rows, cols = m.row_sums.copy(), m.col_sums.copy()
         start = m
         for _ in range(20_000):
-            m = checkerboard_swap_run(m, 50, rng)
+            m = checkerboard_swap_step.path(m, 1, 50, rng)[0]
         assert m != start
         assert np.isin(m.entries, (0, 1)).all()
         assert np.array_equal(m.entries.sum(axis=1), rows)

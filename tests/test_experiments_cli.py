@@ -157,6 +157,15 @@ class TestCsvOutput:
         assert main(["pinfty", "--chain", "bimodal"]) == 0
         assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
+    def test_existing_out_is_replaced_only_by_a_run_that_succeeds(self, tmp_path, capsys):
+        out = tmp_path / "result.csv"
+        out.write_text("an earlier result\n" * 100, encoding="utf-8")
+        assert main(["pinfty", "--chain", "bimodal", "--x0", "500", "--out", str(out)]) == 2
+        assert out.read_text(encoding="utf-8") == "an earlier result\n" * 100
+        assert main(["pinfty", "--chain", "bimodal", "--out", str(out)]) == 0
+        assert main(["pinfty", "--chain", "bimodal"]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
     @pytest.mark.parametrize("name", sorted(RUNNERS))
     def test_echo_names_exactly_the_fields_the_runner_reads(self, name):
         handle = io.StringIO()
@@ -203,6 +212,39 @@ class TestExitCodes:
         argv = ["matrix-gof", "--reps", "1", "--M", "2", "--L", "1", "--rows", "3", "--cols", "3"]
         assert main(argv) == 2
         assert "error: test statistic evaluated to NaN" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["missing/x.csv", "."])
+    def test_out_that_cannot_be_written_exits_2_before_the_run(
+        self, where, tmp_path, monkeypatch, capsys
+    ):
+        """An ``--out`` in a missing directory, or naming a directory, is one
+        error line and exit 2, and the runner is never called."""
+
+        def unreachable(config):
+            raise AssertionError("the runner ran")
+
+        unreachable.help, unreachable.fields = RUNNERS["pinfty"].help, RUNNERS["pinfty"].fields
+        monkeypatch.setitem(RUNNERS, "pinfty", unreachable)
+        out = tmp_path / where
+        assert main(["pinfty", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
+
+    def test_out_of_memory_exits_2(self, monkeypatch, capsys):
+        """A run that cannot allocate (as ``cpt-demo --n 100000`` cannot, asking
+        numpy for 74.5 GiB) is one error line and exit 2."""
+        message = "Unable to allocate 74.5 GiB for an array"
+
+        def out_of_memory(config):
+            assert config.n == 100_000
+            raise MemoryError(message)
+
+        run = RUNNERS["cpt-demo"]
+        out_of_memory.help, out_of_memory.fields = run.help, run.fields
+        monkeypatch.setitem(RUNNERS, "cpt-demo", out_of_memory)
+        assert main(["cpt-demo", "--n", "100000"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -132,7 +132,7 @@ class TestDiscreteKernel:
             with pytest.raises(ValueError, match=f"the L = {steps} power"):
                 kernel.power(steps)
         with pytest.raises(ValueError, match=f"the L = {10**18} power"):
-            kernel.run(50, 10**18, rng)
+            kernel.path(50, 1, 10**18, rng)
 
     def test_power_matches_repeated_multiplication(self, uniform_walk):
         kernel, _ = uniform_walk
@@ -152,21 +152,21 @@ class TestDiscreteKernel:
 
     @pytest.mark.parametrize("step", [1, 100])
     def test_run_is_the_sorted_lookup(self, step):
-        """``run`` lands where ``np.searchsorted(row, u, side="right")`` does,
+        """A one-link ``path`` lands where ``np.searchsorted(row, u, side="right")`` does,
         at 0, at the largest double below 1, and at and just below every
         cumulative value below 1, on every bimodal row in both directions;
         so does the bimodal target's ``sample`` on its cumulative masses."""
         target = bimodal_target()
         pair = KernelPair.from_discrete(mh_pm1_kernel(target), target, step)
-        lookups = [(target.sample, _pinned_cumsum(target.mass))]
+        lookups = [(lambda rng: [target.sample(rng)], _pinned_cumsum(target.mass))]
         for kernel in (pair.forward, pair.reverse):
             for i, row in enumerate(_pinned_cumsum(kernel.power(step))):
-                lookups.append((partial(kernel.run, kernel.states[i], step), row))
+                lookups.append((partial(kernel.path, kernel.states[i], 1, step), row))
         for draw, row in lookups:
             inner = row[row < 1.0]
             us = [0.0, float(np.nextafter(1.0, 0.0)), *inner, *np.nextafter(inner, 0.0)]
             rng = FixedUniforms(us)
-            got = [draw(rng) for _ in us]
+            got = [draw(rng)[0] for _ in us]
             want = np.searchsorted(row, us, side="right")
             assert got == [target.states[j] for j in want]
 
@@ -185,31 +185,34 @@ class TestDiscreteKernel:
         rng = FixedUniforms(us * 3)
         for i, row in enumerate(cum):
             want = np.searchsorted(row, us, side="right").tolist()
-            assert [kernel.run(i, step, rng) for _ in us] == want
+            assert [kernel.path(i, 1, step, rng)[0] for _ in us] == want
 
     @pytest.mark.parametrize("step", [1, 100])
     def test_path_is_chained_runs(self, step):
         """From every bimodal state, in both directions, ``path`` gives the
-        states of ``count`` chained :meth:`run` calls on the same uniforms,
-        among them 0 and the largest double below 1; on a generator it also
-        leaves the stream where they leave it, for a one-link chain too."""
+        states of ``count`` chained ``np.searchsorted(row, u, side="right")``
+        lookups on the same uniforms, among them 0 and the largest double below
+        1; on a generator, whose uniforms are ``count`` scalar ``random()``
+        calls, it also leaves the stream where they leave it, for a one-link
+        chain too."""
         target = bimodal_target()
         pair = KernelPair.from_discrete(mh_pm1_kernel(target), target, step)
         top = float(np.nextafter(1.0, 0.0))
         us = [0.0, top, *substream(4).random(20).tolist(), top, 0.0, 0.5]
+
+        def lookups(kernel, x, uniforms):
+            cum, i, out = _pinned_cumsum(kernel.power(step)), kernel.index(x), []
+            for u in uniforms:
+                i = int(np.searchsorted(cum[i], u, side="right"))
+                out.append(kernel.states[i])
+            return out
+
         for kernel in (pair.forward, pair.reverse):
             for x in kernel.states:
-                rng, want, state = FixedUniforms(us), [], x
-                for _ in us:
-                    state = kernel.run(state, step, rng)
-                    want.append(state)
-                assert kernel.path(x, len(us), step, FixedUniforms(us)) == want
+                assert kernel.path(x, len(us), step, FixedUniforms(us)) == lookups(kernel, x, us)
                 for count in (1, 7):
                     a, b = substream(5, x), substream(5, x)
-                    state, want = x, []
-                    for _ in range(count):
-                        state = kernel.run(state, step, a)
-                        want.append(state)
+                    want = lookups(kernel, x, [a.random() for _ in range(count)])
                     assert kernel.path(x, count, step, b) == want
                     assert a.random() == b.random()
 
@@ -363,9 +366,11 @@ class TestKernelPair:
         assert pair.reverse.states == kernel.states
         assert np.array_equal(pair.reverse.matrix, reversal(kernel, target).matrix)
         assert not pair.reversible and pair.step_size == 2
-        # A kernel called as a step is its one-step run, on the same stream.
+        # A kernel called as a step is its one-link one-step path, on the same stream.
         a, b = substream(1), substream(1)
-        assert [kernel("a", a) for _ in range(20)] == [kernel.run("a", 1, b) for _ in range(20)]
+        assert [kernel("a", a) for _ in range(20)] == [
+            kernel.path("a", 1, 1, b)[0] for _ in range(20)
+        ]
         assert a.random() == b.random()
 
     def test_super_step_matches_matrix_power_law(self, rng):

@@ -301,7 +301,7 @@ def assert_sqrt_epsilon_valid(kernel, target):
     """On a reversible chain the corrected sequential p-value is valid at
     every level of a 0.05 grid, including those the correction's floor
     sqrt(2/(M+1)) lets it reach."""
-    stat = fixtures.state_index_statistic(kernel)
+    stat = kernel.index
     for m in range(1, 5):
         for step in (1, 2):
             law = exact_joint("sequential", kernel, target, n_draws=m, step=step)
@@ -324,7 +324,7 @@ class TestExactRejection:
         """Continuous-statistic analogue: distinct statistic values on an
         exchangeable law give exactly floor(alpha (M+1)) / (M+1)."""
         kernel, target = fixtures.lazy_walk_uniform()
-        stat = fixtures.state_index_statistic(kernel)
+        stat = kernel.index
         law = exact_joint("iid", kernel, target, n_draws=2)
         # remove ties by conditioning on distinct triples
         table = {t: m for t, m in law.as_dict().items() if len(set(t)) == 3}
@@ -336,7 +336,7 @@ class TestExactRejection:
 
     def test_validity_of_exchangeable_samplers(self):
         for name, kernel, target in fixtures.three_state_fixtures():
-            stat = fixtures.state_index_statistic(kernel)
+            stat = kernel.index
             for method in ("parallel", "permuted_serial"):
                 law = exact_joint(method, kernel, target, n_draws=3, step=1)
                 for a in range(1, 5):
@@ -347,7 +347,7 @@ class TestExactRejection:
     def test_sequential_invalid_on_drift_cycle(self, drift_cycle):
         """Exact rejection 3/8 > 1/3 with the state-index statistic, M=2."""
         kernel, target = drift_cycle
-        stat = fixtures.state_index_statistic(kernel)
+        stat = kernel.index
         law = exact_joint("sequential", kernel, target, n_draws=2)
         r = exact_rejection_probability(law, stat, Fraction(1, 3))
         assert r == pytest.approx(3 / 8, abs=1e-12)
@@ -369,7 +369,7 @@ class TestExactRejection:
     def test_randomized_ties_exactly_uniform(self):
         """Randomized tie-break restores exact uniformity on the alpha grid."""
         kernel, target = fixtures.lazy_walk_skewed()
-        stat = fixtures.state_index_statistic(kernel)
+        stat = kernel.index
         law = exact_joint("parallel", kernel, target, n_draws=3, step=1)
         for a in range(1, 5):
             alpha = Fraction(a, 4)
@@ -385,7 +385,7 @@ class TestExactRejection:
     def test_matches_direct_pmc_accounting(self, skewed_walk):
         """Deterministic mode agrees with summing p_mc <= alpha over tuples."""
         kernel, target = skewed_walk
-        stat = fixtures.state_index_statistic(kernel)
+        stat = kernel.index
         law = exact_joint("sequential", kernel, target, n_draws=2)
         alpha = Fraction(2, 3)
         direct = sum(

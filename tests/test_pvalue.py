@@ -165,7 +165,7 @@ class TestPInfinityDiscrete:
         """
         kernel, target = fixtures.two_state()
         pair = KernelPair.from_discrete(kernel, target, 1)
-        law = p_infinity_discrete(pair, fixtures.state_index_statistic(kernel), 1)
+        law = p_infinity_discrete(pair, kernel.index, 1)
         assert law.values == pytest.approx((0.1, 0.8))
         assert law.probs == pytest.approx((0.2, 0.8))
 
@@ -173,7 +173,7 @@ class TestPInfinityDiscrete:
         """Every atom value approaches p_A once the chain forgets its start."""
         kernel, target = fixtures.lazy_walk_skewed()
         pair = KernelPair.from_discrete(kernel, target, step_size=200)
-        stat = fixtures.state_index_statistic(kernel)
+        stat = kernel.index
         p_a = p_analytic(target, stat, stat("b"))
         law = p_infinity_discrete(pair, stat, "b")
         assert max(abs(v - p_a) for v in law.values) <= 1e-6

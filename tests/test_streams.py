@@ -1,4 +1,4 @@
-"""A pin on the random streams of the samplers.
+"""Pins on the random streams of the samplers and of the experiment runners.
 
 From fixed ``substream`` seeds, each sampler below is called on a chain
 whose stream it must keep: the bimodal matrix pair at L = 100 and L = 1, a
@@ -9,12 +9,17 @@ call (for the steps, each state) together with one ``rng.random()`` taken
 after it, so a change to which draws a sampler returns, or to how far it
 moves the stream, fails this test.
 
-A change that moves a stream on purpose updates ``DIGEST`` and records the
-old and new digests, and the ``--check`` output before and after, in
-CHANGES.md.
+A second digest, ``EXPERIMENTS_DIGEST``, covers the CSV header and rows of
+six runners at small configs, which pins the data generators inside them.
+The CSV's first line is left out: it echoes the package and numpy versions.
+
+A change that moves a stream on purpose updates the digest it moves and
+records the old and new digests, and the ``--check`` output before and
+after, in CHANGES.md.
 """
 
 import hashlib
+import io
 
 from exmcmc.chains import (
     BinaryMatrix,
@@ -24,6 +29,7 @@ from exmcmc.chains import (
     make_permutation_state,
     mh_pm1_kernel,
 )
+from exmcmc.experiments import RUNNERS, ExperimentConfig
 from exmcmc.kernel import KernelPair
 from exmcmc.rng import substream
 from exmcmc.samplers import (
@@ -38,6 +44,17 @@ from exmcmc.samplers import (
 
 SEED = 2024
 DIGEST = "07a49d244076bae4cc4b996f9ae8f6468c7e50877e10dd6c26132b3a19b5b64a"
+EXPERIMENTS_DIGEST = "88bb00be74a87bee48be2872125f6a51bde8fdd9c4d40d626bd327aec7b17f25"
+
+# Runner name -> config fields: together about 0.2 s.
+EXPERIMENT_RUNS = (
+    ("matrix-gof", dict(reps=10)),
+    ("cpt-demo", dict(reps=5)),
+    ("bimodal-table", dict(reps=50)),
+    ("consistency", dict(reps=3, m_values=(10, 100))),
+    ("sqrt-eps", dict(reps=200)),
+    ("power-curve", dict(reps=50, n_draws=50, step_max=2)),
+)
 
 
 def _record(h, rng, draws, encode) -> None:
@@ -112,3 +129,16 @@ def _stream_digest() -> str:
 
 def test_sampler_streams_are_pinned():
     assert _stream_digest() == DIGEST
+
+
+def _experiments_digest() -> str:
+    h = hashlib.sha256()
+    for name, fields in EXPERIMENT_RUNS:
+        handle = io.StringIO()
+        RUNNERS[name](ExperimentConfig(**fields)).write_csv(handle)
+        h.update(handle.getvalue().split("\n", 1)[1].encode())
+    return h.hexdigest()
+
+
+def test_experiment_streams_are_pinned():
+    assert _experiments_digest() == EXPERIMENTS_DIGEST

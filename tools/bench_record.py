@@ -15,12 +15,12 @@ given by ``--base`` (``parent``), each from its own ``src/`` and
   setup and test loop: the peak RSS, and whether the two sides' p-values and
   gates are identical.  sigbench keeps records per test, so a timed run's
   peak RSS grows with the tests it completes; at equal counts it does not;
-- the microseconds per ``DiscreteKernel.run``, per ``DiscreteKernel.path``
-  of 99 links at L = 100 and per sampler call at M = 99 on the bimodal pair,
-  per base step of the swap, CPT (n = 40) and AR(1) chains, per 50-step swap
-  run, 99-link swap path at L = 50 (the matrix workload's chain call) and
-  ``association_statistic`` on 20 x 12, and per ``p_mc`` at M = 99 (best of
-  five timed blocks);
+- the microseconds per one-link ``DiscreteKernel.path`` at L = 100 and
+  L = 1, per 99-link one at L = 100 and per sampler call at M = 99 on the
+  bimodal pair, per base step of the swap, CPT (n = 40) and AR(1) chains,
+  per one-link swap path at L = 50, 99-link one (the matrix workload's
+  chain call) and ``association_statistic`` on 20 x 12, and per ``p_mc`` at
+  M = 99 (best of five timed blocks);
 - the wall time and exit code of each CLI experiment at its default config
   with ``--check``;
 - the tier-1 suite's wall time and counts, and the ``src/`` line count;
@@ -53,15 +53,16 @@ EXPERIMENTS = (
 
 
 def micro() -> dict:
-    """Microseconds per call of each layer: the bimodal kernel step, its
-    99-link chain (on a checkout whose kernel has ``path``) and the samplers
-    as sigbench's bimodal workload calls them, each chain's base step, the
-    swap chain's 50-step run and its 99-link path at L = 50 (sigbench's matrix
-    chain), the matrix statistic and ``p_mc``."""
+    """Microseconds per call of each layer: the bimodal kernel's one-link and
+    99-link paths and the samplers as sigbench's bimodal workload calls them,
+    each chain's base step, the swap chain's one-link and 99-link paths at
+    L = 50 (the latter is sigbench's matrix chain), the matrix statistic and
+    ``p_mc``.  The one-link paths keep the ``*_run_*`` keys of the records
+    made when they were ``DiscreteKernel.run`` and ``checkerboard_swap_run``."""
     import numpy as np
     from exmcmc.chains import (
-        Ar1Kernel, BinaryMatrix, association_statistic, bimodal_target, checkerboard_swap_run,
-        checkerboard_swap_step, cpt_swap_step, make_permutation_state, mh_pm1_kernel,
+        Ar1Kernel, BinaryMatrix, association_statistic, bimodal_target, checkerboard_swap_step,
+        cpt_swap_step, make_permutation_state, mh_pm1_kernel,
     )
     from exmcmc.kernel import KernelPair
     from exmcmc.pvalue import p_mc
@@ -90,8 +91,9 @@ def micro() -> dict:
     ar1 = Ar1Kernel(0.8)
     stats = rng.random(99).tolist()
     calls = {
-        "kernel_run_L100_us": (lambda: kernel.run(50, 100, rng), 100_000),
-        "kernel_run_L1_us": (lambda: kernel.run(50, 1, rng), 100_000),
+        "kernel_run_L100_us": (lambda: kernel.path(50, 1, 100, rng)[0], 100_000),
+        "kernel_run_L1_us": (lambda: kernel.path(50, 1, 1, rng)[0], 100_000),
+        "kernel_path_99_L100_us": (lambda: kernel.path(50, 99, 100, rng), 10_000),
         "sample_parallel_us": (lambda: sample_parallel(pair, next(x0s) + 1, 99, rng), 1_000),
         "sample_permuted_serial_us": (
             lambda: sample_permuted_serial(pair, next(x0s) + 1, 99, rng), 1_000),
@@ -99,7 +101,7 @@ def micro() -> dict:
             lambda: sample_tree(unit_pair, next(x0s) + 1, tree, rng), 1_000),
         "swap_step_20x12_us": (chain(lambda m: checkerboard_swap_step(m, rng), grid), 100_000),
         "swap_run_L50_20x12_us": (
-            chain(lambda m: checkerboard_swap_run(m, 50, rng), grid), 10_000),
+            chain(lambda m: checkerboard_swap_step.path(m, 1, 50, rng)[0], grid), 10_000),
         "swap_path_99_L50_20x12_us": (
             chain(lambda m: checkerboard_swap_step.path(m, 99, 50, rng)[-1], grid), 100),
         "cpt_swap_step_n40_us": (
@@ -109,8 +111,6 @@ def micro() -> dict:
         "association_statistic_20x12_us": (lambda: association_statistic(grid), 20_000),
         "p_mc_M99_us": (lambda: p_mc(0.5, stats), 10_000),
     }
-    if hasattr(kernel, "path"):
-        calls["kernel_path_99_L100_us"] = (lambda: kernel.path(50, 99, 100, rng), 10_000)
     out = {}
     for name, (call, number) in calls.items():
         call()  # fills the caches
